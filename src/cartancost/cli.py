@@ -84,6 +84,11 @@ def _seed(args) -> int:
     return int(os.environ.get("CARTAN_SEED", "0"))
 
 
+def _check_samples(args) -> None:
+    if args.samples < 1:
+        raise PreconditionError("--samples must be at least 1")
+
+
 def _resolve_split(args, dim: int | None = None) -> CartanSplit:
     if getattr(args, "split_file", None):
         split = split_from_json(_load_json(args.split_file))
@@ -131,6 +136,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_verify_split(args) -> int:
+    _check_samples(args)
     split = _resolve_split(args)
     report = verify_cartan_split(split)
     lines = [
@@ -160,6 +166,7 @@ def cmd_verify_split(args) -> int:
 
 
 def cmd_verify_metric(args) -> int:
+    _check_samples(args)
     split = _resolve_split(args)
     metric = PenaltyMetric(split, args.epsilon)
     rng = np.random.default_rng(_seed(args))
@@ -170,7 +177,7 @@ def cmd_verify_metric(args) -> int:
         l = random_hamiltonian(split.n, split.l_basis, rng, norm=rng.uniform(0.2, 1.0))
         m = random_hamiltonian(split.n, split.l_basis, rng, norm=rng.uniform(0.2, 1.0))
         if i == 0:
-            z = Hamiltonian(split.n)  # zero central leg exercises the eps*I check
+            z = Hamiltonian(split.n)  # zero central leg exercises the last-block check
         else:
             z = random_hamiltonian(split.n, split.z_basis, rng, norm=rng.uniform(0.2, 1.0))
         gram = pullback_gram((l, z, m), metric, fd_step=args.fd_step)
@@ -201,7 +208,10 @@ def cmd_sweep(args) -> int:
         raise PreconditionError(
             "an SU(4) sweep takes minutes; pass --slow to run it anyway"
         )
-    epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
+    try:
+        epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
+    except ValueError as err:
+        raise ParseError(f"--epsilons: {err}") from err
     result = epsilon_sweep(
         u,
         split,

@@ -5,8 +5,9 @@ free-subalgebra directions are eps-cheap, everything else costs full price.
 In the (L, Z, M) coordinates induced by the KAK factorization the pulled-back
 Gram is expected to acquire a characteristic structure: the central z-block
 is the identity, the first block is eps times the squared
-Baker-Campbell-Hausdorff (dexp) operator of L, and the blocks decouple as
-eps goes to zero.  This module measures that Gram by central finite
+Baker-Campbell-Hausdorff (dexp) operator of L, at Z = 0 the last block is
+eps times the squared BCH operator of M, and the blocks decouple as eps goes
+to zero.  This module measures that Gram by central finite
 differences and checks the structure at stated tolerances.
 """
 
@@ -21,7 +22,9 @@ from .linalg import expm
 from .pauli import (
     CartanSplit,
     Hamiltonian,
+    dense_basis,
     i_commutator,
+    pauli_matrix,
     project,
     support_residual,
     trace_inner_product,
@@ -128,8 +131,6 @@ class CoordinateGram:
 
 def _fd_gram(base, metric: PenaltyMetric, fd_step: float) -> np.ndarray:
     """One central-difference Gram over unit coordinate directions."""
-    from .pauli import pauli_matrix
-
     split = metric.split
     l, z, m = base
     dense = [l.to_matrix(), z.to_matrix(), m.to_matrix()]
@@ -161,24 +162,14 @@ def _fd_gram(base, metric: PenaltyMetric, fd_step: float) -> np.ndarray:
             t = 1j * du @ u_dag
             t = (t + t.conj().T) / 2.0
             t = t - (np.trace(t) / dim) * np.eye(dim)
-            tangents.append(Hamiltonian.from_matrix(t, imag_tol=1e-6))
+            tangents.append(t)
 
+    # tangent rows in pauli_strings(n) order; the penalty form weighs l by eps
+    strings, stack = dense_basis(split.n)
+    rows = np.einsum("kij,tji->tk", stack, np.array(tangents)).real / dim
     lset = set(split.l_basis)
-    coeff_l = []
-    coeff_p = []
-    for t in tangents:
-        cl = {s: c for s, c in t.coeffs.items() if s in lset}
-        cp = {s: c for s, c in t.coeffs.items() if s not in lset}
-        coeff_l.append(Hamiltonian(split.n, cl))
-        coeff_p.append(Hamiltonian(split.n, cp))
-    k = len(tangents)
-    gram = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            val = metric.epsilon * trace_inner_product(coeff_l[i], coeff_l[j])
-            val += trace_inner_product(coeff_p[i], coeff_p[j])
-            gram[i, j] = gram[j, i] = val
-    return gram
+    w = np.array([metric.epsilon if s in lset else 1.0 for s in strings])
+    return dim * (rows * w) @ rows.T
 
 
 def pullback_gram(base, metric: PenaltyMetric, fd_step: float = 1e-4) -> CoordinateGram:
@@ -262,12 +253,13 @@ def verify_gram_structure(
     (2,3) blocks and of order eps for (1,3), so the absolute tolerance is
     meaningful for small eps); (b) the central block is the identity;
     (c) the first block equals eps times the squared BCH operator of the
-    L component; (d) the last block is PSD, and equals eps times the
-    identity when the base Z vanishes.  Eigenvalue ranges of the last block
+    L component; (d) the last block is PSD, and when the base Z vanishes it
+    equals eps times the squared BCH operator of the M component (eps times
+    the identity for an abelian l).  Eigenvalue ranges of the last block
     are recorded either way.
     """
     tol = tolerances or GramTolerances()
-    l, z, _ = gram.base
+    l, z, m = gram.base
 
     offdiag_max = max(
         float(np.max(np.abs(gram.block(1, 2)))),
@@ -293,7 +285,9 @@ def verify_gram_structure(
     zero_dev = None
     last_ok = psd
     if z.norm() == 0.0:
-        target = metric.epsilon * np.eye(last.shape[0])
+        # U = exp(iL) exp(iM): conjugation by exp(iL) preserves the l-norm
+        bch_m = bch_matrix(m, metric.split, terms=terms)
+        target = metric.epsilon * bch_m.T @ bch_m
         zero_dev = float(np.linalg.norm(last - target)) / metric.epsilon
         last_ok = psd and zero_dev <= tol.zero_base_rel
     return GramStructureReport(

@@ -258,15 +258,7 @@ class CartanSplit:
     p_basis: tuple[str, ...]
     z_basis: tuple[str, ...]
     q: np.ndarray = field(repr=False)
-
-    @property
-    def kind(self) -> str:
-        return getattr(self, "_kind", "custom")
-
-
-def _with_kind(split: CartanSplit, kind: str) -> CartanSplit:
-    object.__setattr__(split, "_kind", kind)
-    return split
+    kind: str = "custom"
 
 
 def project(h: Hamiltonian, split: CartanSplit, which: str) -> Hamiltonian:
@@ -300,14 +292,12 @@ class SplitReport:
         return self.ll_ok and self.pl_ok and self.pp_ok and self.orthogonal_ok
 
 
-def verify_cartan_split(split: CartanSplit, tol: float = 1e-12) -> SplitReport:
+def verify_cartan_split(split: CartanSplit) -> SplitReport:
     """Check [l,l] in l, [p,l] in p, [p,p] in l on every basis pair.
 
     Commutators of Pauli strings are single strings, so the containment
-    checks are exact; ``tol`` is accepted for interface symmetry with dense
-    verification but plays no role on string bases.
+    checks are exact and need no tolerance.
     """
-    del tol
     lset, pset = set(split.l_basis), set(split.p_basis)
     violations = []
 
@@ -357,14 +347,14 @@ def builtin_split(n: int, kind: str) -> CartanSplit:
         if n != 1:
             raise PreconditionError("single_x requires n=1")
         q = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-        split = CartanSplit(1, ("X",), ("Y", "Z"), ("Z",), q)
+        return CartanSplit(1, ("X",), ("Y", "Z"), ("Z",), q, kind)
     elif kind == "two_local":
         if n != 2:
             raise PreconditionError("two_local requires n=2")
         strings = pauli_strings(2)
         l = tuple(s for s in strings if pauli_weight(s) == 1)
         p = tuple(s for s in strings if pauli_weight(s) == 2)
-        split = CartanSplit(2, l, p, ("XX", "YY", "ZZ"), MAGIC_BASIS.copy())
+        return CartanSplit(2, l, p, ("XX", "YY", "ZZ"), MAGIC_BASIS.copy(), kind)
     elif kind == "ai":
         if not 1 <= n <= 4:
             raise PreconditionError("ai split supports 1 <= n <= 4")
@@ -372,10 +362,8 @@ def builtin_split(n: int, kind: str) -> CartanSplit:
         l = tuple(s for s in strings if s.count("Y") % 2 == 1)
         p = tuple(s for s in strings if s.count("Y") % 2 == 0)
         z = tuple(s for s in strings if set(s) <= {"I", "Z"})
-        split = CartanSplit(n, l, p, z, np.eye(2**n, dtype=complex))
-    else:
-        raise PreconditionError(f"unknown split kind {kind!r}")
-    return _with_kind(split, kind)
+        return CartanSplit(n, l, p, z, np.eye(2**n, dtype=complex), kind)
+    raise PreconditionError(f"unknown split kind {kind!r}")
 
 
 def verify_maximal_abelian(split: CartanSplit) -> bool:

@@ -131,8 +131,24 @@ class TestVerifySplit:
         code, _, _ = run_main(capsys, "verify-split", "--split-file", str(path))
         assert code == 0
 
+    def test_zero_samples_rejected(self, capsys):
+        code, out, err = run_main(capsys, "verify-split", "--split", "single_x", "--samples", "0")
+        assert code == 3
+        assert out == "" and "--samples" in err
+
 
 class TestVerifyMetric:
+    def test_default_arguments_pass(self, capsys):
+        # base 0 has Z = 0, where the two_local last block is eps * B_M^T B_M
+        code, out, _ = run_main(capsys, "verify-metric")
+        assert code == 0
+        assert "base 0: PASS" in out
+
+    def test_zero_samples_rejected(self, capsys):
+        code, out, err = run_main(capsys, "verify-metric", "--split", "single_x", "--samples", "0")
+        assert code == 3
+        assert out == "" and "--samples" in err
+
     def test_structure_passes_small_eps(self, capsys):
         code, out, _ = run_main(
             capsys, "verify-metric", "--split", "single_x",
@@ -164,6 +180,14 @@ class TestSweep:
         assert len(doc["rows"]) == 2
         assert all(row["converged"] and row["within_bounds"] for row in doc["rows"])
         assert csv_path.read_text().startswith("epsilon,numeric_cost")
+
+    def test_malformed_epsilons_parse_error(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "z.json", la.expm(-1j * 0.4 * pauli.pauli_matrix("Z")))
+        code, out, err = run_main(
+            capsys, "sweep", path, "--split", "single_x", "--epsilons", "1e-1,abc"
+        )
+        assert code == 2
+        assert out == "" and "--epsilons" in err
 
     def test_su4_requires_slow(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "u4.json", la.haar_random_special_unitary(4, 1))

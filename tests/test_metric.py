@@ -62,11 +62,12 @@ class TestBchOperator:
         p = pauli.Hamiltonian(1, {"X": -1.2})
         assert (mt.bch_operator(l, p) - p).norm() < 1e-14
 
-    def test_defect_is_second_order(self):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_defect_is_second_order(self, n):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            l = pauli.random_hamiltonian(1, pauli.pauli_strings(1), rng, norm=rng.uniform(0.3, 1.5))
-            p = pauli.random_hamiltonian(1, pauli.pauli_strings(1), rng, norm=rng.uniform(0.3, 1.5))
+            l = pauli.random_hamiltonian(n, pauli.pauli_strings(n), rng, norm=rng.uniform(0.3, 1.5))
+            p = pauli.random_hamiltonian(n, pauli.pauli_strings(n), rng, norm=rng.uniform(0.3, 1.5))
             b = mt.bch_operator(l, p, terms=20)
 
             def defect(delta):
@@ -157,15 +158,19 @@ class TestGramStructure:
         rel = np.linalg.norm(gram.block(1, 1) - predicted) / np.linalg.norm(predicted)
         assert rel < 1e-4
 
-    def test_zero_z_base_checks_eps_identity(self, single_x):
-        metric = mt.PenaltyMetric(single_x, 1e-5)
+    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
+    def test_zero_z_base_checks_last_block(self, kind, n):
+        # at Z = 0 the last block is eps * B_M^T B_M, which is eps * I only
+        # for an abelian l (single_x)
+        split = pauli.builtin_split(n, kind)
+        metric = mt.PenaltyMetric(split, 1e-5)
         rng = np.random.default_rng(9)
         base = (
-            pauli.random_hamiltonian(1, single_x.l_basis, rng, norm=0.6),
-            pauli.Hamiltonian(1),
-            pauli.random_hamiltonian(1, single_x.l_basis, rng, norm=0.6),
+            pauli.random_hamiltonian(n, split.l_basis, rng, norm=0.6),
+            pauli.Hamiltonian(n),
+            pauli.random_hamiltonian(n, split.l_basis, rng, norm=0.6),
         )
         gram = mt.pullback_gram(base, metric)
         report = mt.verify_gram_structure(gram, metric)
         assert report.last_block_zero_base_dev is not None
-        assert report.all_ok
+        assert report.all_ok, report
