@@ -17,13 +17,13 @@ sz = pauli_matrix("Z")
 
 print(f"{'z':>8} {'closed form (z)':>16} {'pipeline exp(-izZ)':>20} {'closed form (2z)':>18}")
 for z in np.linspace(0, np.pi, 9):
-    closed = single_qubit_cost(0.0, z, 0.0)
+    closed = single_qubit_cost(z)
     pipeline = optimal_cost(expm(-1j * z * sz), split).cost
-    mapped = single_qubit_cost(0.0, 2 * z, 0.0)
+    mapped = single_qubit_cost(2 * z)
     print(f"{z:8.4f} {closed:16.8f} {pipeline:20.8f} {mapped:18.8f}")
 
 print()
 print("periodicity of the closed form: cost(z + 2 pi) == cost(z)")
 for z in (0.3, 1.2, 2.9):
-    print(f"  z={z}: {single_qubit_cost(0, z, 0):.8f} vs "
-          f"{single_qubit_cost(0, z + 2 * np.pi, 0):.8f}")
+    print(f"  z={z}: {single_qubit_cost(z):.8f} vs "
+          f"{single_qubit_cost(z + 2 * np.pi):.8f}")

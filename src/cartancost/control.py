@@ -79,8 +79,8 @@ def _even_sign_patterns(n: int):
         yield pattern
 
 
-def optimal_feasible_path(report: CostReport, total_time: float = 1.0) -> ControlPath:
-    """Three-leg path hitting the analytic optimum up to the free-leg cost.
+def optimal_feasible_path(report: CostReport) -> ControlPath:
+    """Unit-time three-leg path hitting the analytic optimum up to the free-leg cost.
 
     The lattice shift is absorbed into the left orthogonal factor (an even
     sign pattern keeps it special orthogonal), so the middle leg's generator
@@ -109,7 +109,7 @@ def optimal_feasible_path(report: CostReport, total_time: float = 1.0) -> Contro
     l_new = Hamiltonian.from_matrix(l_dense).restrict(split.l_basis)
     z_new = Hamiltonian.from_matrix(z_dense).restrict(split.z_basis)
     m_old = Hamiltonian.from_matrix(m_dense).restrict(split.l_basis)
-    dt = total_time / 3.0
+    dt = 1.0 / 3.0
     scale = -1.0 / dt
     return ControlPath(
         (
@@ -120,28 +120,17 @@ def optimal_feasible_path(report: CostReport, total_time: float = 1.0) -> Contro
     )
 
 
-def _path_from_rows(rows: np.ndarray, durations, split: CartanSplit) -> ControlPath:
-    strings, _ = dense_basis(split.n)
-    segs = tuple(
-        (Hamiltonian.from_vector(split.n, strings, row), float(dt))
-        for row, dt in zip(rows, durations)
-    )
-    return ControlPath(segs)
-
-
 class _Objective:
     """Penalty objective over per-segment coefficient rows (full Pauli basis)."""
 
     def __init__(self, target, metric: PenaltyMetric, durations):
         split = metric.split
-        strings, stack = dense_basis(split.n)
-        self.stack = stack
+        self.stack = dense_basis(split.n)[1]
         self.durations = np.asarray(durations, dtype=float)
         self.target = target
         self.dim = target.shape[0]
         self.eps = metric.epsilon
-        l_set = set(split.l_basis)
-        self.l_mask = np.array([s in l_set for s in strings])
+        self.l_mask = split.l_mask
         self.p_mask = ~self.l_mask
         self.scale = 2.0**split.n
 
@@ -200,26 +189,27 @@ def optimize_path(
     target = np.asarray(target, dtype=complex)
     if segments < 3:
         raise PreconditionError("need at least 3 segments")
+    if restarts < 0:
+        raise PreconditionError("restarts must be non-negative")
     if not is_unitary(target, 1e-9):
         raise PreconditionError("target is not unitary")
-    split = metric.split
-    strings, _ = dense_basis(split.n)
+    n = metric.split.n
     durations = np.full(segments, 1.0 / segments)
     obj = _Objective(target, metric, durations)
     rng = np.random.default_rng(seed)
 
     starts = []
     for path in init_paths:
-        rows = np.zeros((segments, len(strings)))
+        rows = np.zeros((segments, 4**n - 1))
         if len(path.segments) > segments:
             raise PreconditionError("init path has more segments than requested")
         # place the init legs on an equal-duration grid, rescaling each
         # generator so the per-leg propagator is unchanged
         for i, (h, dt) in enumerate(path.segments):
-            rows[i] = h.to_vector(strings) * (dt / durations[i])
+            rows[i] = h.vec * (dt / durations[i])
         starts.append(rows)
     for _ in range(restarts):
-        starts.append(rng.standard_normal((segments, len(strings))) * 0.4)
+        starts.append(rng.standard_normal((segments, 4**n - 1)) * 0.4)
     if not starts:
         raise PreconditionError("need at least one start (restarts or init_paths)")
 
@@ -240,7 +230,8 @@ def optimize_path(
         raise ConvergenceFailure(
             "endpoint residual did not reach tolerance", residual=value
         )
-    return _path_from_rows(best_rows, durations, split), float(obj.cost(best_rows))
+    segs = tuple((Hamiltonian(n, row), float(dt)) for row, dt in zip(best_rows, durations))
+    return ControlPath(segs), float(obj.cost(best_rows))
 
 
 @dataclass(eq=False)

@@ -62,19 +62,18 @@ def optimal_cost(u, split: CartanSplit) -> CostReport:
     )
 
 
-def single_qubit_cost(x: float, z: float, y: float) -> float:
+def single_qubit_cost(z: float) -> float:
     """Closed-form single-qubit cost under the halved-eigenvalue convention.
 
     For a decomposition ``U = exp(-i x s_x) exp(-i z s_z) exp(-i y s_x)``
     where the middle generator is read with eigenvalues +-z/2, the cost is
     ``(1/sqrt(2)) * min_m |z - 2 pi m|`` — in particular |z|/sqrt(2) on
     [-pi, pi].  The outer angles x and y are free directions and do not
-    enter.  Kept independent of the KAK pipeline so the two can be checked
-    against each other: the halved-eigenvalue parameter is twice the
-    standard-Pauli one, so ``optimal_cost(expm(-1j*w*Z)) ==
-    single_qubit_cost(_, 2*w, _)`` exactly.
+    enter, so only z is taken.  Kept independent of the KAK pipeline so the
+    two can be checked against each other: the halved-eigenvalue parameter
+    is twice the standard-Pauli one, so ``optimal_cost(expm(-1j*w*Z)) ==
+    single_qubit_cost(2*w)`` exactly.
     """
-    del x, y
     folded = z - 2.0 * np.pi * np.round(z / (2.0 * np.pi))
     return abs(folded) / np.sqrt(2.0)
 

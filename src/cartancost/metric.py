@@ -23,7 +23,6 @@ from .pauli import (
     CartanSplit,
     Hamiltonian,
     dense_basis,
-    i_commutator,
     pauli_matrix,
     project,
     support_residual,
@@ -83,24 +82,22 @@ def bch_operator(l: Hamiltonian, p: Hamiltonian, terms: int = 16) -> Hamiltonian
         raise PreconditionError("need at least one series term")
     if l.norm() > 2.0:
         raise PreconditionError("series guard: |L| must not exceed 2")
-    acc = p
-    term = p
+    lm = l.to_matrix()
+    acc = term = p.to_matrix()
     factorial = 1.0
     for j in range(1, terms):
-        term = i_commutator(l, term)
+        term = 1j * (lm @ term - term @ lm)
         factorial *= j + 1
-        acc = acc + term * (1.0 / factorial)
-    return acc
+        acc = acc + term / factorial
+    return Hamiltonian.from_matrix(acc)
 
 
-def bch_matrix(l: Hamiltonian, split: CartanSplit, terms: int = 16) -> np.ndarray:
+def bch_matrix(l: Hamiltonian, split: CartanSplit) -> np.ndarray:
     """The BCH operator of L restricted to the free subalgebra, as a matrix
-    over unit-normalized l-basis directions."""
-    cols = []
-    for s in split.l_basis:
-        img = bch_operator(l, Hamiltonian(split.n, {s: 1.0}), terms=terms)
-        cols.append(img.to_vector(split.l_basis))
-    return np.array(cols).T
+    over unit-normalized l-basis directions: columns follow ``split.l_basis``,
+    rows ``pauli_strings(n)`` (the same order for the built-in splits)."""
+    cols = [bch_operator(l, Hamiltonian(split.n, {s: 1.0})).vec for s in split.l_basis]
+    return np.array(cols).T[split.l_mask]
 
 
 @dataclass(eq=False)
@@ -165,10 +162,9 @@ def _fd_gram(base, metric: PenaltyMetric, fd_step: float) -> np.ndarray:
             tangents.append(t)
 
     # tangent rows in pauli_strings(n) order; the penalty form weighs l by eps
-    strings, stack = dense_basis(split.n)
+    _, stack = dense_basis(split.n)
     rows = np.einsum("kij,tji->tk", stack, np.array(tangents)).real / dim
-    lset = set(split.l_basis)
-    w = np.array([metric.epsilon if s in lset else 1.0 for s in strings])
+    w = np.where(split.l_mask, metric.epsilon, 1.0)
     return dim * (rows * w) @ rows.T
 
 
@@ -245,7 +241,6 @@ def verify_gram_structure(
     gram: CoordinateGram,
     metric: PenaltyMetric,
     tolerances: GramTolerances | None = None,
-    terms: int = 16,
 ) -> GramStructureReport:
     """Check the measured Gram against the predicted block structure.
 
@@ -272,7 +267,7 @@ def verify_gram_structure(
     center_max_dev = float(np.max(np.abs(center - np.eye(center.shape[0]))))
     center_ok = center_max_dev <= tol.center_abs
 
-    bch = bch_matrix(l, metric.split, terms=terms)
+    bch = bch_matrix(l, metric.split)
     predicted = metric.epsilon * bch.T @ bch
     first = gram.block(1, 1)
     denom = max(float(np.linalg.norm(predicted)), 1e-300)
@@ -286,7 +281,7 @@ def verify_gram_structure(
     last_ok = psd
     if z.norm() == 0.0:
         # U = exp(iL) exp(iM): conjugation by exp(iL) preserves the l-norm
-        bch_m = bch_matrix(m, metric.split, terms=terms)
+        bch_m = bch_matrix(m, metric.split)
         target = metric.epsilon * bch_m.T @ bch_m
         zero_dev = float(np.linalg.norm(last - target)) / metric.epsilon
         last_ok = psd and zero_dev <= tol.zero_base_rel

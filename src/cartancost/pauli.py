@@ -1,10 +1,13 @@
 """Pauli-string operator algebra for su(2**n), n <= 4.
 
 Pauli strings are plain letter strings over ``IXYZ`` ("XZ" means X on qubit 0
-and Z on qubit 1).  Hermitian operators are real combinations of non-identity
-strings (class :class:`Hamiltonian`); the trace inner product on that space
-is ``tr(AB) = 2**n * sum_P a_P b_P`` because distinct strings are trace
-orthogonal and every string squares to the identity.
+and Z on qubit 1).  ``pauli_strings(n)`` fixes one order of the 4**n - 1
+non-identity strings, and a Hermitian operator (class :class:`Hamiltonian`)
+is its real coefficient vector in that order.  Sums, restrictions to a basis
+list and the trace inner product ``tr(AB) = 2**n * (a . b)`` are vector
+operations, because distinct strings are trace orthogonal and every string
+squares to the identity.  The dense matrix is one contraction with
+``dense_basis(n)``; commutators are taken on dense matrices.
 
 The module also owns Cartan splits: a pair of subspaces (l, p) closing under
 commutators as ``[l,l] in l``, ``[p,l] in p``, ``[p,p] in l``, together with
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -121,36 +124,66 @@ def dense_basis(n: int) -> tuple[tuple[str, ...], np.ndarray]:
     return strings, stack
 
 
-class Hamiltonian:
-    """A Hermitian operator as a real coefficient map over Pauli strings.
+@lru_cache(maxsize=8)
+def _positions(n: int) -> dict[str, int]:
+    return {s: k for k, s in enumerate(pauli_strings(n))}
 
-    Treated as an immutable value; arithmetic returns new instances.
+
+def _indices(n: int, strings) -> list[int]:
+    """Positions of ``strings`` in ``pauli_strings(n)``."""
+    try:
+        return [_positions(n)[s] for s in strings]
+    except KeyError as err:
+        raise PreconditionError(f"{err.args[0]!r} is not a non-identity string on {n} qubits")
+
+
+def _mask(n: int, strings) -> np.ndarray:
+    """Read-only; True at the positions of ``strings`` in ``pauli_strings(n)``."""
+    mask = np.zeros(len(pauli_strings(n)), dtype=bool)
+    mask[_indices(n, strings)] = True
+    mask.setflags(write=False)
+    return mask
+
+
+class Hamiltonian:
+    """A Hermitian operator as its real coefficient vector over ``pauli_strings(n)``.
+
+    Built from a ``{string: coefficient}`` map or from one coefficient per
+    string in ``pauli_strings(n)`` order.  ``vec`` is read-only; arithmetic
+    returns new instances.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "vec")
 
-    def __init__(self, n: int, coeffs: dict[str, float] | None = None):
+    def __init__(self, n: int, coeffs=None):
+        vec = np.zeros(len(pauli_strings(n)))
+        if isinstance(coeffs, dict):
+            vec[_indices(n, coeffs)] = list(coeffs.values())
+        elif coeffs is not None:
+            if np.shape(coeffs) != vec.shape:
+                raise PreconditionError(f"need {len(vec)} coefficients for n={n}")
+            vec[:] = coeffs
+        vec.setflags(write=False)
         self.n = n
-        self.coeffs = dict(coeffs) if coeffs else {}
-        idn = "I" * n
-        if idn in self.coeffs:
-            raise PreconditionError("the identity string is not part of su(2**n)")
+        self.vec = vec
+
+    @property
+    def coeffs(self) -> dict[str, float]:
+        """The nonzero terms as a ``{string: coefficient}`` map."""
+        return {s: float(c) for s, c in zip(pauli_strings(self.n), self.vec) if c != 0.0}
 
     def __repr__(self):
         terms = ", ".join(f"{s}: {c:+.4g}" for s, c in sorted(self.coeffs.items()))
         return f"Hamiltonian(n={self.n}, {{{terms}}})"
 
     def __add__(self, other: "Hamiltonian") -> "Hamiltonian":
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0.0) + c
-        return Hamiltonian(self.n, out)
+        return Hamiltonian(self.n, self.vec + other.vec)
 
     def __sub__(self, other: "Hamiltonian") -> "Hamiltonian":
-        return self + (-1.0) * other
+        return Hamiltonian(self.n, self.vec - other.vec)
 
     def __mul__(self, scalar: float) -> "Hamiltonian":
-        return Hamiltonian(self.n, {s: c * scalar for s, c in self.coeffs.items()})
+        return Hamiltonian(self.n, self.vec * scalar)
 
     __rmul__ = __mul__
 
@@ -159,34 +192,27 @@ class Hamiltonian:
 
     def norm(self) -> float:
         """Trace norm sqrt(tr(H^2)) with unnormalized strings (tr P^2 = 2**n)."""
-        return float(np.sqrt(2**self.n * sum(c * c for c in self.coeffs.values())))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
+        return float(np.sqrt(2**self.n * (self.vec * self.vec).sum()))
 
     def restrict(self, strings) -> "Hamiltonian":
-        keep = set(strings)
-        return Hamiltonian(self.n, {s: c for s, c in self.coeffs.items() if s in keep})
+        return Hamiltonian(self.n, np.where(_mask(self.n, strings), self.vec, 0.0))
 
     def to_vector(self, strings) -> np.ndarray:
-        return np.array([self.coeffs.get(s, 0.0) for s in strings])
+        return self.vec[_indices(self.n, strings)]
 
     def to_matrix(self) -> np.ndarray:
-        m = np.zeros((2**self.n, 2**self.n), dtype=complex)
-        for s, c in self.coeffs.items():
-            if c != 0.0:
-                m += c * pauli_matrix(s)
-        return m
+        stack = dense_basis(self.n)[1]
+        return (self.vec @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
     @classmethod
     def from_vector(cls, n: int, strings, values) -> "Hamiltonian":
-        return cls(n, {s: float(v) for s, v in zip(strings, values) if v != 0.0})
+        return cls(n, dict(zip(strings, values)))
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, imag_tol: float = 1e-9) -> "Hamiltonian":
+    def from_matrix(cls, m: np.ndarray) -> "Hamiltonian":
         """Coefficient expansion of a Hermitian traceless matrix.
 
-        Raises if the anti-Hermitian or identity leakage exceeds ``imag_tol``
+        Raises if the anti-Hermitian or identity leakage exceeds 1e-9
         relative to the matrix norm.
         """
         m = np.asarray(m, dtype=complex)
@@ -194,37 +220,30 @@ class Hamiltonian:
         n = int(round(np.log2(dim)))
         if 2**n != dim:
             raise PreconditionError(f"dimension {dim} is not a power of two")
-        strings, stack = dense_basis(n)
+        _, stack = dense_basis(n)
         raw = np.einsum("kij,ji->k", stack, m) / dim
         scale = max(np.linalg.norm(m), 1.0)
         leak = np.linalg.norm(raw.imag) + abs(np.trace(m)) / dim
-        if leak > imag_tol * scale:
+        if leak > 1e-9 * scale:
             raise PreconditionError(
                 f"matrix is not Hermitian-traceless within tolerance (leak {leak:.2e})"
             )
-        return cls.from_vector(n, strings, raw.real)
+        return cls(n, raw.real)
 
 
 def trace_inner_product(a: Hamiltonian, b: Hamiltonian) -> float:
     """tr(AB) computed in coefficient space."""
     if a.n != b.n:
         raise PreconditionError("operands act on different qubit counts")
-    small, large = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
-    acc = sum(c * large.get(s, 0.0) for s, c in small.items())
-    return float(2**a.n * acc)
+    # product then sum rather than a dot: no fused multiply-add, so short
+    # sums round exactly as a plain loop does
+    return float(2**a.n * (a.vec * b.vec).sum())
 
 
 def i_commutator(a: Hamiltonian, b: Hamiltonian) -> Hamiltonian:
     """i[A, B]; Hermitian again, with real string coefficients."""
-    out: dict[str, float] = {}
-    for s, ca in a.coeffs.items():
-        for t, cb in b.coeffs.items():
-            ph, r = pauli_product(s, t)
-            ph_back, _ = pauli_product(t, s)
-            diff = 1j * (ph - ph_back)  # in {0, +-2}
-            if diff != 0:
-                out[r] = out.get(r, 0.0) + ca * cb * diff.real
-    return Hamiltonian(a.n, {s: c for s, c in out.items() if c != 0.0})
+    am, bm = a.to_matrix(), b.to_matrix()
+    return Hamiltonian.from_matrix(1j * (am @ bm - bm @ am))
 
 
 def random_hamiltonian(n: int, strings, rng, norm: float | None = None) -> Hamiltonian:
@@ -240,9 +259,7 @@ def random_hamiltonian(n: int, strings, rng, norm: float | None = None) -> Hamil
 
 def support_residual(h: Hamiltonian, strings) -> float:
     """Trace norm of the component of ``h`` outside the span of ``strings``."""
-    keep = set(strings)
-    outside = {s: c for s, c in h.coeffs.items() if s not in keep}
-    return Hamiltonian(h.n, outside).norm()
+    return (h - h.restrict(strings)).norm()
 
 
 # -- Cartan splits -------------------------------------------------------------
@@ -259,6 +276,11 @@ class CartanSplit:
     z_basis: tuple[str, ...]
     q: np.ndarray = field(repr=False)
     kind: str = "custom"
+
+    @cached_property
+    def l_mask(self) -> np.ndarray:
+        """True at the l strings, over ``pauli_strings(n)``."""
+        return _mask(self.n, self.l_basis)
 
 
 def project(h: Hamiltonian, split: CartanSplit, which: str) -> Hamiltonian:
@@ -372,19 +394,14 @@ def verify_maximal_abelian(split: CartanSplit) -> bool:
     for s, t in itertools.combinations(split.z_basis, 2):
         if not _strings_commute(s, t):
             return False
-    strings = pauli_strings(split.n)
-    index = {s: k for k, s in enumerate(strings)}
-    rows = []
-    for z in split.z_basis:
-        block = np.zeros((len(strings), len(split.p_basis)))
-        for col, s in enumerate(split.p_basis):
-            com = i_commutator(
-                Hamiltonian(split.n, {s: 1.0}), Hamiltonian(split.n, {z: 1.0})
-            )
-            for r, c in com.coeffs.items():
-                block[index[r], col] = c
-        rows.append(block)
-    joint = np.vstack(rows)
+    # column per p string: its commutators with every z element, stacked
+    joint = np.array([
+        np.concatenate([
+            i_commutator(Hamiltonian(split.n, {s: 1.0}), Hamiltonian(split.n, {z: 1.0})).vec
+            for z in split.z_basis
+        ])
+        for s in split.p_basis
+    ]).T
     kernel_dim = len(split.p_basis) - np.linalg.matrix_rank(joint, tol=1e-10)
     return kernel_dim == len(split.z_basis)
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .control import SweepResult
 from .cost import CostReport
-from .errors import PreconditionError
 from .kak import KakFactors
 from .pauli import CartanSplit, Hamiltonian
 
@@ -47,9 +46,9 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render(obj, parts: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _render(obj, parts: list, level: int) -> None:
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         parts.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -67,7 +66,7 @@ def _render(obj, parts: list, indent: int, level: int) -> None:
         parts.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             parts.append(f"{pad_in}{json.dumps(str(k))}: ")
-            _render(v, parts, indent, level + 1)
+            _render(v, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -77,23 +76,23 @@ def _render(obj, parts: list, indent: int, level: int) -> None:
             inner = []
             for v in seq:
                 sub: list = []
-                _render(v, sub, indent, level)
+                _render(v, sub, level)
                 inner.append("".join(sub))
             parts.append("[" + ", ".join(inner) + "]")
         else:
             parts.append("[\n")
             for i, v in enumerate(seq):
                 parts.append(pad_in)
-                _render(v, parts, indent, level + 1)
+                _render(v, parts, level + 1)
                 parts.append(",\n" if i < len(seq) - 1 else "\n")
             parts.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
+def dumps_canonical(obj) -> str:
     parts: list = []
-    _render(obj, parts, indent, 0)
+    _render(obj, parts, 0)
     return "".join(parts) + "\n"
 
 
@@ -122,13 +121,6 @@ def matrix_from_json(doc) -> np.ndarray:
 
 def hamiltonian_to_json(h: Hamiltonian) -> dict:
     return {s: float(c) for s, c in sorted(h.coeffs.items())}
-
-
-def _hamiltonian_from_json(doc, n: int) -> Hamiltonian:
-    try:
-        return Hamiltonian(n, {str(s): float(c) for s, c in doc.items()})
-    except (TypeError, AttributeError, ValueError) as err:
-        raise ParseError(f"bad coefficient map: {err}") from err
 
 
 def split_to_json(split: CartanSplit) -> dict:

@@ -96,10 +96,10 @@ def test_criterion_3_single_qubit_specialization():
 
     def body():
         for z in np.arange(-np.pi, np.pi + 1e-12, np.pi / 100):
-            assert cost.single_qubit_cost(0.2, z, -0.4) == abs(z) / np.sqrt(2)
+            assert cost.single_qubit_cost(z) == abs(z) / np.sqrt(2)
         for z in np.arange(-4 * np.pi, 4 * np.pi + 1e-12, np.pi / 10):
             want = min(abs(z - 2 * m * np.pi) for m in range(-5, 6)) / np.sqrt(2)
-            assert abs(cost.single_qubit_cost(0.0, z, 0.0) - want) <= 1e-12
+            assert abs(cost.single_qubit_cost(z) - want) <= 1e-12
         split = pauli.builtin_split(1, "single_x")
         zmat = pauli.pauli_matrix("Z")
         for z in np.arange(-np.pi, np.pi + 1e-12, np.pi / 100):
@@ -107,7 +107,7 @@ def test_criterion_3_single_qubit_specialization():
             want = np.sqrt(2) * min(abs(z - m * np.pi) for m in range(-3, 4))
             assert abs(got - want) <= 1e-9
             # documented mapping: the halved convention reads twice the angle
-            assert abs(got - cost.single_qubit_cost(0.0, 2 * z, 0.0)) <= 1e-9
+            assert abs(got - cost.single_qubit_cost(2 * z)) <= 1e-9
 
     _criterion(3, "single-qubit closed form", 5, body)
 

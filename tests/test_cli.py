@@ -189,6 +189,14 @@ class TestSweep:
         assert code == 2
         assert out == "" and "--epsilons" in err
 
+    def test_negative_restarts_rejected(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "z.json", la.expm(-1j * 0.4 * pauli.pauli_matrix("Z")))
+        code, out, err = run_main(
+            capsys, "sweep", path, "--split", "single_x", "--restarts", "-1"
+        )
+        assert code == 3
+        assert out == "" and "restarts" in err
+
     def test_su4_requires_slow(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "u4.json", la.haar_random_special_unitary(4, 1))
         code, _, err = run_main(capsys, "sweep", path, "--split", "two_local")

@@ -60,15 +60,15 @@ class TestOptimalCost:
 
 class TestSingleQubit:
     def test_zero(self):
-        assert cost.single_qubit_cost(0.3, 0.0, -0.2) == 0.0
+        assert cost.single_qubit_cost(0.0) == 0.0
 
     def test_proposition_values(self):
-        assert abs(cost.single_qubit_cost(0, np.pi / 2, 0) - np.pi / (2 * np.sqrt(2))) < 1e-15
-        assert cost.single_qubit_cost(0, 2 * np.pi, 0) < 1e-12
+        assert abs(cost.single_qubit_cost(np.pi / 2) - np.pi / (2 * np.sqrt(2))) < 1e-15
+        assert cost.single_qubit_cost(2 * np.pi) < 1e-12
 
     def test_grid_matches_closed_form(self):
         for z in np.linspace(-np.pi, np.pi, 201):
-            assert cost.single_qubit_cost(0.1, z, 0.7) == abs(z) / np.sqrt(2)
+            assert cost.single_qubit_cost(z) == abs(z) / np.sqrt(2)
 
     def test_pipeline_convention_mapping(self, single_x):
         # halved-eigenvalue parameter is twice the standard one
@@ -77,7 +77,7 @@ class TestSingleQubit:
             got = cost.optimal_cost(la.expm(-1j * z * zmat), single_x).cost
             want = np.sqrt(2) * min(abs(z - m * np.pi) for m in range(-4, 5))
             assert abs(got - want) < 1e-9
-            assert abs(got - cost.single_qubit_cost(0.0, 2 * z, 0.0)) < 1e-9
+            assert abs(got - cost.single_qubit_cost(2 * z)) < 1e-9
 
 
 class TestInvariance:

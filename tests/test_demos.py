@@ -1,0 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+SLOW = {"05_penalty_sweep.py"}
+
+
+def run_demo(path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(path)], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("path", [p for p in DEMOS if p.name not in SLOW], ids=lambda p: p.name)
+def test_demo_runs(path):
+    run_demo(path)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("path", [p for p in DEMOS if p.name in SLOW], ids=lambda p: p.name)
+def test_slow_demo_runs(path):
+    run_demo(path)

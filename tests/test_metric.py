@@ -137,7 +137,9 @@ class TestPullbackGram:
 
 
 class TestGramStructure:
-    @pytest.mark.parametrize("kind,n,samples", [("single_x", 1, 6), ("two_local", 2, 3)])
+    @pytest.mark.parametrize(
+        "kind,n,samples", [("single_x", 1, 6), ("two_local", 2, 3), ("ai", 4, 1)]
+    )
     def test_random_bases_pass(self, kind, n, samples):
         split = pauli.builtin_split(n, kind)
         metric = mt.PenaltyMetric(split, 1e-5)

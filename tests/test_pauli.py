@@ -29,7 +29,8 @@ class TestProducts:
                 assert np.allclose(lhs, ph * pa.pauli_matrix(r), atol=1e-12)
 
     def test_commutators_match_dense(self):
-        # string-arithmetic commutators vs dense matrices, all basis pairs
+        # i[s, t] vs products of dense matrices and vs the string structure
+        # constants: 2i * phase * r when s and t anticommute, zero otherwise
         for n in (1, 2, 3):
             strings = pa.pauli_strings(n)
             for s, t in itertools.combinations(strings, 2):
@@ -41,6 +42,12 @@ class TestProducts:
                     - pa.pauli_matrix(t) @ pa.pauli_matrix(s)
                 )
                 assert np.linalg.norm(com.to_matrix() - dense) < 1e-12
+                ph, r = pa.pauli_product(s, t)
+                want = np.zeros(len(strings))
+                if pa.pauli_product(t, s)[0] != ph:
+                    assert ph.real == 0.0
+                    want[strings.index(r)] = (2j * ph).real
+                assert np.max(np.abs(com.vec - want)) < 1e-12
 
 
 class TestHamiltonian:
@@ -75,8 +82,10 @@ class TestHamiltonian:
             pa.Hamiltonian.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_identity_excluded(self):
-        with pytest.raises(PreconditionError):
-            pa.Hamiltonian(2, {"II": 1.0})
+        # only non-identity strings of length n name a coefficient
+        for n, coeffs in ((2, {"II": 1.0}), (1, {"Q": 1.0}), (2, {"X": 1.0})):
+            with pytest.raises(PreconditionError):
+                pa.Hamiltonian(n, coeffs)
 
 
 class TestProjection:
