@@ -5,7 +5,7 @@ penalty weights.  The numeric optimum is sandwiched between the analytic
 lattice cost and the explicit three-leg feasible path, whose excess is
 sqrt(eps) times the free-leg norms; the relative error shrinks with eps.
 
-Takes around half a minute.
+Takes a second or two.
 """
 
 import numpy as np

@@ -206,7 +206,7 @@ def cmd_sweep(args) -> int:
         raise PreconditionError("sweeps are supported for dimensions 2 and 4 only")
     if u.shape[0] == 4 and not args.slow:
         raise PreconditionError(
-            "an SU(4) sweep takes minutes; pass --slow to run it anyway"
+            "SU(4) sweeps are opt-in; pass --slow to run one"
         )
     try:
         epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]

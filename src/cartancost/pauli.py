@@ -176,10 +176,16 @@ class Hamiltonian:
         terms = ", ".join(f"{s}: {c:+.4g}" for s, c in sorted(self.coeffs.items()))
         return f"Hamiltonian(n={self.n}, {{{terms}}})"
 
+    def _same_n(self, other: "Hamiltonian") -> None:
+        if self.n != other.n:
+            raise PreconditionError("operands act on different qubit counts")
+
     def __add__(self, other: "Hamiltonian") -> "Hamiltonian":
+        self._same_n(other)
         return Hamiltonian(self.n, self.vec + other.vec)
 
     def __sub__(self, other: "Hamiltonian") -> "Hamiltonian":
+        self._same_n(other)
         return Hamiltonian(self.n, self.vec - other.vec)
 
     def __mul__(self, scalar: float) -> "Hamiltonian":
@@ -233,8 +239,7 @@ class Hamiltonian:
 
 def trace_inner_product(a: Hamiltonian, b: Hamiltonian) -> float:
     """tr(AB) computed in coefficient space."""
-    if a.n != b.n:
-        raise PreconditionError("operands act on different qubit counts")
+    a._same_n(b)
     # product then sum rather than a dot: no fused multiply-add, so short
     # sums round exactly as a plain loop does
     return float(2**a.n * (a.vec * b.vec).sum())

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -s``).
 
-The optimizer-based SU(4) sweep lives in tests/test_control.py behind the
-``--slow`` flag; everything here runs in the default suite.
+The optimizer-based SU(4) sweep lives in tests/test_control.py.
 """
 
 import time

@@ -7,7 +7,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
-SLOW = {"05_penalty_sweep.py"}
 
 
 def run_demo(path):
@@ -18,12 +17,6 @@ def run_demo(path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("path", [p for p in DEMOS if p.name not in SLOW], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path):
-    run_demo(path)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("path", [p for p in DEMOS if p.name in SLOW], ids=lambda p: p.name)
-def test_slow_demo_runs(path):
     run_demo(path)

@@ -87,6 +87,12 @@ class TestHamiltonian:
             with pytest.raises(PreconditionError):
                 pa.Hamiltonian(n, coeffs)
 
+    def test_mixed_qubit_counts_rejected(self):
+        one, two = pa.Hamiltonian(1, {"X": 1.0}), pa.Hamiltonian(2, {"XX": 1.0})
+        for op in (lambda a, b: a + b, lambda a, b: a - b, pa.trace_inner_product):
+            with pytest.raises(PreconditionError):
+                op(one, two)
+
 
 class TestProjection:
     def test_basic(self):
