@@ -30,14 +30,9 @@ from .cost import (
 )
 from .errors import ConvergenceFailure, NumericalFailure, PreconditionError
 from .kak import KakFactors, canonicalize_phases, eigenphases, kak_decompose, reconstruct
-from .lattice import (
-    closest_lattice_point,
-    closest_lattice_point_bruteforce,
-    lattice_distance,
-)
+from .lattice import closest_lattice_point, closest_lattice_point_bruteforce
 from .linalg import (
     diag_symmetric_unitary,
-    eig_hermitian,
     expm,
     frobenius_distance,
     haar_random_special_unitary,

@@ -10,6 +10,7 @@ pass, 1 verification failure, 2 parse error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -229,7 +230,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls:
+    ``parse_args`` fills a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="cartancost",
         description="Optimal synthesis costs for Cartan control problems.",
@@ -254,12 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="qubit count")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("decompose", help="KAK-decompose a unitary")
     add_io(p)
     add_split_options(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("cost", help="optimal synthesis cost of a unitary")
     add_io(p)
@@ -267,14 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=["standard-pauli", "paper-halved"],
                    default="standard-pauli",
                    help="single-qubit parameter reading to report")
-    p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("verify-split", help="check the Cartan-split axioms")
     add_split_options(p)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_verify_split)
 
     p = sub.add_parser("verify-metric", help="check the coordinate-metric block structure")
     add_split_options(p)
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", default=None, dest="json_out",
                    help="also write the measured Gram blocks as JSON here")
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_verify_metric)
 
     p = sub.add_parser("sweep", help="penalty-weight sweep of the control oracle")
     add_io(p)
@@ -299,15 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow", action="store_true",
                    help="allow the (slow) four-dimensional sweep")
     p.add_argument("--csv", default=None, help="also write a CSV table here")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the shared parser, so the module's
+    # current cmd_* function runs even if it was rebound after the first call
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE

@@ -15,16 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError
 
-__all__ = [
-    "closest_lattice_point",
-    "closest_lattice_point_bruteforce",
-    "lattice_distance",
-]
-
-
-def lattice_distance(x, m) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - np.pi * np.asarray(m)))
+__all__ = ["closest_lattice_point", "closest_lattice_point_bruteforce"]
 
 
 def closest_lattice_point(x) -> np.ndarray:

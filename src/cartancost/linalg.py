@@ -16,13 +16,9 @@ from .errors import NumericalFailure, PreconditionError
 
 __all__ = [
     "is_unitary",
-    "is_special",
     "is_symmetric",
-    "is_real",
-    "is_hermitian",
     "is_antihermitian",
     "expm",
-    "eig_hermitian",
     "diag_symmetric_unitary",
     "log_special_orthogonal",
     "frobenius_distance",
@@ -44,23 +40,9 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
     return np.linalg.norm(m.conj().T @ m - eye) <= tol
 
 
-def is_special(m, tol: float = 1e-10) -> bool:
-    """|det(m) - 1| <= tol."""
-    return abs(np.linalg.det(_as_matrix(m)) - 1.0) <= tol
-
-
 def is_symmetric(m, tol: float = 1e-10) -> bool:
     m = _as_matrix(m)
     return np.linalg.norm(m - m.T) <= tol
-
-
-def is_real(m, tol: float = 1e-10) -> bool:
-    return np.linalg.norm(np.imag(_as_matrix(m))) <= tol
-
-
-def is_hermitian(m, tol: float = 1e-10) -> bool:
-    m = _as_matrix(m)
-    return np.linalg.norm(m - m.conj().T) <= tol
 
 
 def is_antihermitian(m, tol: float = 1e-10) -> bool:
@@ -79,14 +61,6 @@ def expm(x) -> np.ndarray:
     # x = -i*h with h Hermitian, so e^x = v diag(e^{-i w}) v^+.
     w, v = np.linalg.eigh(1j * x)
     return (v * np.exp(-1j * w)) @ v.conj().T
-
-
-def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix."""
-    h = _as_matrix(h)
-    if not is_hermitian(h, 1e-10):
-        raise PreconditionError("eig_hermitian requires a Hermitian input")
-    return np.linalg.eigh(h)
 
 
 def frobenius_distance(u, v, mod_global_phase: bool = False) -> float:

@@ -10,7 +10,8 @@ optional embedded frame matrix "Q".
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -39,11 +40,11 @@ class ParseError(ValueError):
 
 
 def _fmt_float(x: float) -> str:
-    if np.isnan(x):
+    if math.isfinite(x):
+        return format(x, ".17g")
+    if x != x:
         return "null"
-    if np.isinf(x):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(float(x), ".17g")
+    return '"Infinity"' if x > 0 else '"-Infinity"'
 
 
 def _render(obj, parts: list, level: int) -> None:
@@ -58,21 +59,25 @@ def _render(obj, parts: list, level: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         parts.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        parts.append(_quote(obj))
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
         parts.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
-            parts.append(f"{pad_in}{json.dumps(str(k))}: ")
-            _render(v, parts, level + 1)
+            parts.append(f"{pad_in}{_quote(str(k))}: ")
+            if type(v) is float:  # fast path: plain float values
+                parts.append(_fmt_float(v))
+            else:
+                _render(v, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
-        if flat:
+        if all(type(v) is float for v in seq):  # fast path: flat rows of plain floats
+            parts.append("[" + ", ".join(map(_fmt_float, seq)) + "]")
+        elif all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
             inner = []
             for v in seq:
                 sub: list = []

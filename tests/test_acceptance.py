@@ -81,8 +81,8 @@ def test_criterion_2_lattice_oracle_equivalence():
                 x -= x.mean()
                 fast = lattice.closest_lattice_point(x)
                 brute = lattice.closest_lattice_point_bruteforce(x, radius=2)
-                d_fast = lattice.lattice_distance(x, fast)
-                d_brute = lattice.lattice_distance(x, brute)
+                d_fast = np.linalg.norm(x - np.pi * fast)
+                d_brute = np.linalg.norm(x - np.pi * brute)
                 assert abs(d_fast - d_brute) <= 1e-12, (n, x)
 
     _criterion(2, "lattice oracle equivalence", 10, body)
@@ -127,7 +127,7 @@ def test_criterion_4_canonical_two_qubit_values():
         for u, value in cases:
             report = cost.optimal_cost(u, split)
             brute = lattice.closest_lattice_point_bruteforce(report.eigenphases, radius=3)
-            derived = lattice.lattice_distance(report.eigenphases, brute)
+            derived = np.linalg.norm(report.eigenphases - np.pi * brute)
             assert abs(report.cost - derived) <= 1e-12
             assert abs(report.cost - value) <= 1e-9
             inv = cost.cheap_invariance_check(u, split, samples=100, seed=4)

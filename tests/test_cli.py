@@ -213,7 +213,7 @@ class TestRandom:
         from cartancost.serialize import matrix_from_json
 
         u = matrix_from_json(json.loads(out1))
-        assert la.is_unitary(u, 1e-10) and la.is_special(u, 1e-10)
+        assert la.is_unitary(u, 1e-10) and abs(np.linalg.det(u) - 1) <= 1e-10
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("CARTAN_SEED", "123")
@@ -231,3 +231,73 @@ def test_entry_point_subprocess(tmp_path):
     )
     doc = json.loads(proc.stdout)
     assert doc["dim"] == 2
+
+
+class TestInProcessReuse:
+    """Repeated cli.main calls in one process print what fresh processes print."""
+
+    @staticmethod
+    def fresh(calls, cwd):
+        """(exit code, stdout, stderr) of each argv, each in a new interpreter."""
+        import os
+
+        import cartancost
+
+        src = os.path.dirname(os.path.dirname(cartancost.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        procs = [subprocess.Popen([sys.executable, "-m", "cartancost", *argv], cwd=cwd,
+                                  env=env, text=True, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE) for argv in calls]
+        outs = [p.communicate() for p in procs]
+        return [(p.returncode, *out) for p, out in zip(procs, outs)]
+
+    @staticmethod
+    def in_process(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_matches_fresh_processes(self, tmp_path, capsys):
+        from cartancost.serialize import split_to_json
+
+        u3 = write_matrix(tmp_path, "u3.json", la.haar_random_special_unitary(8, 4))
+        u1 = write_matrix(tmp_path, "u1.json", la.haar_random_special_unitary(2, 5))
+        u2 = write_matrix(tmp_path, "u2.json", la.haar_random_special_unitary(4, 6))
+        split = tmp_path / "split.json"
+        split.write_text(dumps_canonical(split_to_json(pauli.builtin_split(2, "two_local"))))
+        calls = [
+            ["decompose", u3, "--split", "ai"],
+            ["cost", u1, "--split", "single_x", "--convention", "paper-halved"],
+            ["sweep", u1, "--max-iter", "x"],
+            ["decompose", u2, "--split-file", str(split)],
+            ["decompose", u2, "--split", "two_local"],
+            ["cost", u1, "--split", "single_x"],
+            ["--version"],
+        ]
+        seen = [self.in_process(capsys, argv) for argv in calls]
+        for argv, (code, out, err), want in zip(calls, seen, self.fresh(calls, tmp_path)):
+            assert (code, out) == want[:2], argv
+            if code == 2:
+                assert err == want[2] and "--max-iter" in err
+        codes = [code for code, _, _ in seen]
+        assert codes == [0, 0, 2, 0, 0, 0, 0]
+        # options of one call do not reach the next
+        assert json.loads(seen[3][1])["split"] == "custom"
+        assert json.loads(seen[4][1])["split"] == "two_local"
+        assert json.loads(seen[1][1])["single_qubit_convention"] == "paper-halved"
+        assert json.loads(seen[5][1])["single_qubit_convention"] == "standard-pauli"
+
+    def test_parser_built_once_with_fresh_namespaces(self):
+        from cartancost.cli import build_parser
+
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["decompose", "a.json", "--split-file", "s.json", "--n", "3"])
+        second = parser.parse_args(["decompose", "b.json"])
+        assert first is not second
+        assert (second.input, second.split, second.split_file, second.n) == (
+            "b.json", "two_local", None, None)
