@@ -17,7 +17,6 @@ from .errors import NumericalFailure, PreconditionError
 __all__ = [
     "is_unitary",
     "is_symmetric",
-    "is_antihermitian",
     "expm",
     "diag_symmetric_unitary",
     "log_special_orthogonal",
@@ -45,22 +44,21 @@ def is_symmetric(m, tol: float = 1e-10) -> bool:
     return np.linalg.norm(m - m.T) <= tol
 
 
-def is_antihermitian(m, tol: float = 1e-10) -> bool:
-    m = _as_matrix(m)
-    return np.linalg.norm(m + m.conj().T) <= tol
-
-
 def expm(x) -> np.ndarray:
-    """Exponential of an anti-Hermitian matrix, via eigendecomposition of i*x.
+    """Exponential of an anti-Hermitian matrix, or of each member of a
+    ``(..., N, N)`` stack, via one eigendecomposition of i*x.
 
     Exact (to rounding) for these normal inputs; the result is unitary.
     """
-    x = _as_matrix(x)
-    if not is_antihermitian(x, 1e-10):
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise PreconditionError(f"expected square matrices, got shape {x.shape}")
+    gap = np.linalg.norm(x + x.swapaxes(-1, -2).conj(), axis=(-2, -1) if x.ndim > 2 else None)
+    if (gap > 1e-10).any():
         raise PreconditionError("expm requires an anti-Hermitian input")
     # x = -i*h with h Hermitian, so e^x = v diag(e^{-i w}) v^+.
     w, v = np.linalg.eigh(1j * x)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return (v * np.exp(-1j * w)[..., None, :]) @ v.swapaxes(-1, -2).conj()
 
 
 def frobenius_distance(u, v, mod_global_phase: bool = False) -> float:

@@ -32,6 +32,7 @@ __all__ = [
     "pauli_strings",
     "dense_basis",
     "Hamiltonian",
+    "hermitian_coefficients",
     "trace_inner_product",
     "i_commutator",
     "random_hamiltonian",
@@ -216,25 +217,27 @@ class Hamiltonian:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Hamiltonian":
-        """Coefficient expansion of a Hermitian traceless matrix.
-
-        Raises if the anti-Hermitian or identity leakage exceeds 1e-9
-        relative to the matrix norm.
-        """
+        """Expansion of a Hermitian traceless matrix by :func:`hermitian_coefficients`."""
         m = np.asarray(m, dtype=complex)
-        dim = m.shape[0]
-        n = int(round(np.log2(dim)))
-        if 2**n != dim:
-            raise PreconditionError(f"dimension {dim} is not a power of two")
-        _, stack = dense_basis(n)
-        raw = np.einsum("kij,ji->k", stack, m) / dim
-        scale = max(np.linalg.norm(m), 1.0)
-        leak = np.linalg.norm(raw.imag) + abs(np.trace(m)) / dim
-        if leak > 1e-9 * scale:
-            raise PreconditionError(
-                f"matrix is not Hermitian-traceless within tolerance (leak {leak:.2e})"
-            )
-        return cls(n, raw.real)
+        return cls(m.shape[0].bit_length() - 1, hermitian_coefficients(m))
+
+
+def hermitian_coefficients(m: np.ndarray) -> np.ndarray:
+    """Real coefficients over ``pauli_strings(n)`` of a Hermitian traceless
+    ``2**n``-dimensional matrix, one row per member of a stack.  Raises if a
+    member's anti-Hermitian or identity leakage exceeds 1e-9 * max(|m|_F, 1)."""
+    dim = m.shape[-1]
+    n = dim.bit_length() - 1
+    if 2**n != dim:
+        raise PreconditionError(f"dimension {dim} is not a power of two")
+    raw = np.einsum("kij,...ji->...k", dense_basis(n)[1], m) / dim
+    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1) if m.ndim > 2 else None), 1.0)
+    leak = np.linalg.norm(raw.imag, axis=-1) + abs(np.trace(m, axis1=-2, axis2=-1)) / dim
+    if (leak > 1e-9 * scale).any():
+        raise PreconditionError(
+            f"matrix is not Hermitian-traceless within tolerance (leak {leak.max():.2e})"
+        )
+    return raw.real
 
 
 def trace_inner_product(a: Hamiltonian, b: Hamiltonian) -> float:

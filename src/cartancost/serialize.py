@@ -112,11 +112,13 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(doc) -> np.ndarray:
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (TypeError, KeyError, ValueError) as err:
         raise ParseError(f"bad matrix document: {err}") from err
+    if type(dim) is not int:  # refuse bool (an int subclass), float and str
+        raise ParseError(f"matrix dim must be a JSON integer, got {dim!r}")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ParseError(
             f"matrix entries have shape {re.shape}/{im.shape}, expected ({dim}, {dim})"

@@ -55,6 +55,16 @@ class TestDecompose:
         code, _, _ = run_main(capsys, "decompose", str(path), "--split", "single_x")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["decompose", "cost"])
+    @pytest.mark.parametrize("dim", [2.5, "2", True, 2.0])
+    def test_dim_must_be_integer(self, tmp_path, capsys, command, dim):
+        path = tmp_path / "id.json"
+        doc = {"dim": dim, "re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}
+        path.write_text(json.dumps(doc))
+        code, _, err = run_main(capsys, command, str(path), "--split", "single_x")
+        assert code == 2
+        assert "integer" in err
+
     def test_dim_mismatch(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "id2.json", np.eye(2))
         code, _, _ = run_main(capsys, "decompose", path, "--split", "two_local")

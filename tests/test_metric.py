@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,48 @@ def single_x():
 @pytest.fixture(scope="module")
 def two_local():
     return pauli.builtin_split(2, "two_local")
+
+
+def _ref_fd_gram(base, metric, fd_step):
+    """One central-difference Gram, one exponential per displaced exponent:
+    the per-direction loop that the stacked ``pullback_gram`` replaced."""
+    split = metric.split
+    l, z, m = base
+    dense = [l.to_matrix(), z.to_matrix(), m.to_matrix()]
+    exps = [expm(1j * d) for d in dense]
+    u = exps[0] @ exps[1] @ exps[2]
+    u_dag = u.conj().T
+    dim = u.shape[0]
+    unit = 2.0 ** (-split.n / 2.0)  # unit trace norm for a single string
+
+    slots = [
+        (0, split.l_basis),
+        (1, split.z_basis),
+        (2, split.l_basis),
+    ]
+    tangents = []
+    for slot, directions in slots:
+        left = exps[1] @ exps[2] if slot == 0 else (exps[2] if slot == 1 else None)
+        for s in directions:
+            step = (fd_step * unit) * pauli.pauli_matrix(s)
+            plus = expm(1j * (dense[slot] + step))
+            minus = expm(1j * (dense[slot] - step))
+            if slot == 0:
+                du = (plus - minus) @ left
+            elif slot == 1:
+                du = exps[0] @ ((plus - minus) @ left)
+            else:
+                du = exps[0] @ (exps[1] @ (plus - minus))
+            du = du / (2.0 * fd_step)
+            t = 1j * du @ u_dag
+            t = (t + t.conj().T) / 2.0
+            t = t - (np.trace(t) / dim) * np.eye(dim)
+            tangents.append(t)
+
+    _, stack = pauli.dense_basis(split.n)
+    rows = np.einsum("kij,tji->tk", stack, np.array(tangents)).real / dim
+    w = np.where(split.l_mask, metric.epsilon, 1.0)
+    return dim * (rows * w) @ rows.T
 
 
 def random_base(split, rng, norms=(0.8, 0.8, 0.8)):
@@ -82,6 +126,18 @@ class TestBchOperator:
         l = pauli.Hamiltonian(1, {"X": 3.0})
         with pytest.raises(PreconditionError):
             mt.bch_operator(l, pauli.Hamiltonian(1, {"Z": 1.0}))
+        with pytest.raises(PreconditionError):
+            mt.bch_matrix(l, pauli.builtin_split(1, "single_x"))
+
+    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
+    def test_matrix_columns_are_operators(self, kind, n):
+        split = pauli.builtin_split(n, kind)
+        l = pauli.random_hamiltonian(n, split.l_basis, np.random.default_rng(10), norm=1.5)
+        bch = mt.bch_matrix(l, split)
+        assert bch.shape == (len(split.l_basis), len(split.l_basis))
+        for col, s in zip(bch.T, split.l_basis):
+            want = mt.bch_operator(l, pauli.Hamiltonian(n, {s: 1.0})).vec[split.l_mask]
+            assert np.max(np.abs(col - want)) <= 1e-15
 
 
 class TestPullbackGram:
@@ -128,6 +184,31 @@ class TestPullbackGram:
         g1 = mt.pullback_gram(base, mt.PenaltyMetric(single_x, 2e-5))
         g2 = mt.pullback_gram(base, mt.PenaltyMetric(single_x, 1e-5))
         assert np.allclose(g1.block(1, 1), 2.0 * g2.block(1, 1), rtol=1e-4)
+
+    @pytest.mark.parametrize("zero_z", [False, True])
+    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
+    def test_matches_per_direction_reference(self, kind, n, zero_z):
+        split = pauli.builtin_split(n, kind)
+        metric = mt.PenaltyMetric(split, 1e-5)
+        l, z, m = random_base(split, np.random.default_rng(11), norms=(0.9, 0.7, 0.5))
+        base = (l, pauli.Hamiltonian(n) if zero_z else z, m)
+        gram = mt.pullback_gram(base, metric)
+        want = _ref_fd_gram(base, metric, 1e-4)
+        want_half = _ref_fd_gram(base, metric, 5e-5)
+        assert np.max(np.abs(gram.gram - want)) <= 1e-10
+        assert abs(gram.check_delta - np.max(np.abs(want - want_half))) <= 1e-10
+
+    def test_custom_basis_order(self, two_local):
+        # a split file may list its strings in any order; the coordinate
+        # directions and the BCH columns must follow that order
+        split = dataclasses.replace(
+            two_local, l_basis=two_local.l_basis[::-1], z_basis=two_local.z_basis[::-1]
+        )
+        metric = mt.PenaltyMetric(split, 1e-5)
+        base = random_base(split, np.random.default_rng(12), norms=(0.9, 0.7, 0.5))
+        gram = mt.pullback_gram(base, metric)
+        assert np.max(np.abs(gram.gram - _ref_fd_gram(base, metric, 1e-4))) <= 1e-10
+        assert mt.verify_gram_structure(gram, metric).all_ok
 
     def test_step_validation(self, single_x):
         metric = mt.PenaltyMetric(single_x, 1e-4)
