@@ -21,7 +21,7 @@ import scipy.optimize
 
 from .cost import CostReport, optimal_cost
 from .errors import ConvergenceFailure, PreconditionError
-from .linalg import frobenius_distance, is_unitary, log_special_orthogonal
+from .linalg import frobenius_distance, hermitian_exp, is_unitary, log_special_orthogonal
 from .metric import PenaltyMetric, hamiltonian_cost
 from .pauli import CartanSplit, Hamiltonian, dense_basis
 
@@ -49,24 +49,6 @@ class ControlPath:
             if dt <= 0:
                 raise PreconditionError("segment durations must be positive")
 
-    @property
-    def total_time(self) -> float:
-        return float(sum(dt for _, dt in self.segments))
-
-
-def _propagators(h: np.ndarray, durations: np.ndarray):
-    """Segment propagators exp(-i h_s dt_s) of a Hermitian stack ``h`` of
-    shape (S, N, N), from one stacked eigendecomposition.
-
-    Returns the eigenvalues ``w``, the eigenvectors ``v`` and the propagators.
-    """
-    skew = np.linalg.norm(h - h.conj().swapaxes(1, 2), axis=(1, 2)) * durations
-    if np.any(skew > 1e-10):
-        raise PreconditionError("segment generators must be Hermitian")
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * durations[:, None])
-    return w, v, (v * phases[:, None, :]) @ v.conj().swapaxes(1, 2)
-
 
 def _ordered_product(props: np.ndarray) -> np.ndarray:
     u = props[0]
@@ -81,7 +63,7 @@ def evolve(path: ControlPath) -> np.ndarray:
         raise PreconditionError("cannot evolve an empty path without a dimension")
     h = np.stack([h.to_matrix() for h, _ in path.segments])
     durations = np.array([dt for _, dt in path.segments], dtype=float)
-    return _ordered_product(_propagators(h, durations)[2])
+    return _ordered_product(hermitian_exp(h, durations)[2])
 
 
 def path_cost(path: ControlPath, metric: PenaltyMetric) -> float:
@@ -164,9 +146,9 @@ class _Objective:
         self.weights = np.where(split.l_mask, metric.epsilon, 1.0)
         self.scale = 2.0**split.n
 
-    def _propagators(self, rows: np.ndarray):
+    def _segments(self, rows: np.ndarray):
         h = (rows @ self.basis).reshape(-1, self.dim, self.dim)
-        return _propagators(h, self.durations)
+        return hermitian_exp(h, self.durations)
 
     def cost(self, rows: np.ndarray) -> float:
         return float(self._speeds(rows) @ self.durations)
@@ -175,7 +157,7 @@ class _Objective:
         return np.sqrt(self.scale * ((rows * rows) @ self.weights))
 
     def endpoint(self, rows: np.ndarray) -> float:
-        u = _ordered_product(self._propagators(rows)[2])
+        u = _ordered_product(self._segments(rows)[2])
         return frobenius_distance(u, self.target, mod_global_phase=True)
 
     def value_and_grad(self, rows: np.ndarray, lam: float):
@@ -189,7 +171,7 @@ class _Objective:
         tends to ``-i dt e^{-i w_a dt}``.
         """
         dts = self.durations
-        w, v, props = self._propagators(rows)
+        w, v, props = self._segments(rows)
         segments = len(props)
         # prefix[s] = U_{s-1}...U_0 and suffix[s] = U_{S-1}...U_{s+1}
         prefix = [np.eye(self.dim, dtype=complex)]

@@ -9,6 +9,15 @@ operations, because distinct strings are trace orthogonal and every string
 squares to the identity.  The dense matrix is one contraction with
 ``dense_basis(n)``; commutators are taken on dense matrices.
 
+Each string also has one integer code: the string read as a base-4 number
+with I, X, Y, Z = 0, 1, 2, 3, so the identity is 0 and ``pauli_strings(n)[k]``
+has code ``k + 1``.  In each two-bit digit ``(hi, lo)`` the symplectic bits
+are ``x = lo ^ hi`` and ``z = hi`` (Aaronson & Gottesman, PRA 70, 052328).
+The product of two strings is, up to phase, the string of the XOR of their
+codes; two strings anticommute when ``(x_s & z_t) ^ (z_s & x_t)`` has odd
+parity; and ``x & z`` marks the Y letters.  Every split question below is
+such a bit operation on arrays of codes.
+
 The module also owns Cartan splits: a pair of subspaces (l, p) closing under
 commutators as ``[l,l] in l``, ``[p,l] in p``, ``[p,p] in l``, together with
 a maximal commuting subspace z of p and the basis change that makes exp(i*l)
@@ -27,7 +36,6 @@ from .errors import PreconditionError
 
 __all__ = [
     "pauli_product",
-    "pauli_weight",
     "pauli_matrix",
     "pauli_strings",
     "dense_basis",
@@ -55,12 +63,7 @@ _SINGLE = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# sigma_a sigma_b = phase * sigma_c for the non-trivial combinations
-_PRODUCT = {
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
+_DIGITS = str.maketrans("IXYZ", "0123")
 
 #: Frame in which SU(2) x SU(2) acts as SO(4) and XX, YY, ZZ are diagonal.
 MAGIC_BASIS = np.array(
@@ -74,26 +77,41 @@ MAGIC_BASIS = np.array(
 ) / np.sqrt(2)
 
 
+def _code(s: str) -> int:
+    """The code of a string over ``IXYZ``, the identity included."""
+    return int("0" + s.translate(_DIGITS), 4)
+
+
+def _xz(code, n: int):
+    """Symplectic bit masks (x, z) of a code or an array of codes."""
+    lo = (4**n - 1) // 3  # the low bit of every digit
+    hi = (code >> 1) & lo
+    return (code & lo) ^ hi, hi
+
+
+def _anticommute(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Boolean matrix: True where string code ``a[i]`` anticommutes with ``b[j]``."""
+    (xa, za), (xb, zb) = _xz(a[:, None], n), _xz(b[None, :], n)
+    return np.bitwise_count((xa & zb) ^ (za & xb)) & 1 == 1
+
+
 def pauli_product(p: str, q: str) -> tuple[complex, str]:
-    """Product of two Pauli strings: matrix(p) @ matrix(q) = phase * matrix(r)."""
+    """Product of two Pauli strings: matrix(p) @ matrix(q) = phase * matrix(r).
+
+    ``r`` has the XOR of the codes of ``p`` and ``q``; with ``#Y`` the count
+    of Y letters the phase is ``i**(#Y(p) + #Y(q) - #Y(r) + 2 |z_p & x_q|)``.
+    """
     if len(p) != len(q):
         raise PreconditionError("strings act on different qubit counts")
-    phase = 1 + 0j
-    out = []
-    for a, b in zip(p, q):
-        if a == "I":
-            out.append(b)
-        elif b == "I" or a == b:
-            out.append("I" if a == b else a)
-        else:
-            ph, c = _PRODUCT[(a, b)]
-            phase *= ph
-            out.append(c)
-    return phase, "".join(out)
-
-
-def pauli_weight(s: str) -> int:
-    return sum(1 for c in s if c != "I")
+    if (p + q).strip("IXYZ"):  # a digit would otherwise read as its own code
+        raise PreconditionError(f"{p!r} or {q!r} has a letter outside IXYZ")
+    n = len(p)
+    a, b = _code(p), _code(q)
+    r = a ^ b
+    (xa, za), (xb, zb), (xr, zr) = _xz(a, n), _xz(b, n), _xz(r, n)
+    power = (xa & za).bit_count() + (xb & zb).bit_count() - (xr & zr).bit_count()
+    power += 2 * (za & xb).bit_count()
+    return 1j ** (power % 4), "".join("IXYZ"[r >> 2 * k & 3] for k in reversed(range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +154,10 @@ def _indices(n: int, strings) -> list[int]:
         return [_positions(n)[s] for s in strings]
     except KeyError as err:
         raise PreconditionError(f"{err.args[0]!r} is not a non-identity string on {n} qubits")
+
+
+def _codes(n: int, strings) -> np.ndarray:
+    return np.array(_indices(n, strings), dtype=np.int64) + 1
 
 
 def _mask(n: int, strings) -> np.ndarray:
@@ -204,16 +226,9 @@ class Hamiltonian:
     def restrict(self, strings) -> "Hamiltonian":
         return Hamiltonian(self.n, np.where(_mask(self.n, strings), self.vec, 0.0))
 
-    def to_vector(self, strings) -> np.ndarray:
-        return self.vec[_indices(self.n, strings)]
-
     def to_matrix(self) -> np.ndarray:
         stack = dense_basis(self.n)[1]
         return (self.vec @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
-
-    @classmethod
-    def from_vector(cls, n: int, strings, values) -> "Hamiltonian":
-        return cls(n, dict(zip(strings, values)))
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Hamiltonian":
@@ -259,7 +274,7 @@ def random_hamiltonian(n: int, strings, rng, norm: float | None = None) -> Hamil
     optionally rescaled to a given trace norm."""
     strings = tuple(strings)
     values = rng.standard_normal(len(strings))
-    h = Hamiltonian.from_vector(n, strings, values)
+    h = Hamiltonian(n, dict(zip(strings, values)))
     if norm is not None and h.norm() > 0:
         h = h * (norm / h.norm())
     return h
@@ -298,10 +313,6 @@ def project(h: Hamiltonian, split: CartanSplit, which: str) -> Hamiltonian:
     return h.restrict(split.l_basis if which == "l" else split.p_basis)
 
 
-def _strings_commute(s: str, t: str) -> bool:
-    return pauli_product(s, t)[0] == pauli_product(t, s)[0]
-
-
 @dataclass
 class SplitReport:
     """Outcome of the commutator-closure checks on a split.
@@ -326,92 +337,86 @@ def verify_cartan_split(split: CartanSplit) -> SplitReport:
     """Check [l,l] in l, [p,l] in p, [p,p] in l on every basis pair.
 
     Commutators of Pauli strings are single strings, so the containment
-    checks are exact and need no tolerance.
+    checks are exact and need no tolerance: a pair violates its relation
+    when it anticommutes and the XOR of its codes lies outside the target.
     """
-    lset, pset = set(split.l_basis), set(split.p_basis)
+    n, strings = split.n, pauli_strings(split.n)
+    l, p, z = (_codes(n, b) for b in (split.l_basis, split.p_basis, split.z_basis))
     violations = []
 
-    def check(pairs, target, label):
-        ok = True
-        for s, t in pairs:
-            if _strings_commute(s, t):
-                continue
-            _, r = pauli_product(s, t)
-            if r not in target:
-                ok = False
-                violations.append((label, s, t, r))
-        return ok
+    def check(label, s_basis, t_basis, target, unordered):
+        s, t = _codes(n, s_basis), _codes(n, t_basis)
+        anti = _anticommute(s, t, n)
+        if unordered:  # each pair of one list once, i < j
+            anti = np.triu(anti, 1)
+        prod = s[:, None] ^ t[None, :]
+        bad = anti & ~np.isin(prod, target)
+        # nonzero walks row-major, the order of combinations() and product()
+        violations.extend((label, s_basis[i], t_basis[j], strings[prod[i, j] - 1])
+                          for i, j in zip(*np.nonzero(bad)))
+        return not bad.any(), prod[anti]
 
-    ll_ok = check(itertools.combinations(split.l_basis, 2), lset, "[l,l]")
-    pl_ok = check(itertools.product(split.p_basis, split.l_basis), pset, "[p,l]")
-    pp_ok = check(itertools.combinations(split.p_basis, 2), lset, "[p,p]")
-
-    spanned = {
-        pauli_product(s, t)[1]
-        for s, t in itertools.product(split.p_basis, split.l_basis)
-        if not _strings_commute(s, t)
-    }
-    pl_spans = pset <= spanned
-
-    full = set(pauli_strings(split.n))
-    orthogonal_ok = (
-        not (lset & pset)
-        and len(lset) == len(split.l_basis)
-        and len(pset) == len(split.p_basis)
-        and lset | pset == full
-        and set(split.z_basis) <= pset
-    )
+    ll_ok, _ = check("[l,l]", split.l_basis, split.l_basis, l, True)
+    pl_ok, pl_products = check("[p,l]", split.p_basis, split.l_basis, p, False)
+    pp_ok, _ = check("[p,p]", split.p_basis, split.p_basis, l, True)
+    pl_spans = bool(np.isin(p, pl_products).all())
+    # every non-identity string exactly once in l or p, and z inside p
+    counts = np.bincount(np.concatenate([l, p]), minlength=4**n)
+    orthogonal_ok = bool((counts[1:] == 1).all() and np.isin(z, p).all())
     return SplitReport(ll_ok, pl_ok, pp_ok, orthogonal_ok, pl_spans, violations)
 
 
-def builtin_split(n: int, kind: str) -> CartanSplit:
-    """The built-in splits.
+@lru_cache(maxsize=None)
+def _involution_bases(n: int, t: str) -> tuple[tuple[str, ...], ...]:
+    """l and p of theta(P) = -T P^T T^+ with T = ``t``, and the diagonal strings."""
+    codes = np.arange(1, 4**n)
+    x, z = _xz(codes, n)
+    flips = _anticommute(codes, np.array([_code(t)]), n)[:, 0]  # T P T^+ = -P
+    in_l = (np.bitwise_count(x & z) + flips) & 1 == 1
+    return tuple(tuple(itertools.compress(pauli_strings(n), m)) for m in (in_l, ~in_l, x == 0))
 
-    ``single_x``  n=1, l = span(X): magnetic fields along x are free.
-    ``two_local`` n=2, l = all one-qubit strings: local operations are free.
-    ``ai``        1<=n<=4, l = strings with an odd number of Y letters, the
-                  orthogonal so(2**n) split; z is the diagonal {I,Z} span and
-                  the adapted frame is the computational basis itself.
+
+def builtin_split(n: int, kind: str) -> CartanSplit:
+    """The built-in splits.  Each is the eigenspace split of an involution
+    theta(P) = -T P^T T^+ of su(2**n): l where theta = +1, p where theta = -1.
+    As P^T = (-1)^#Y(P) P and T P T^+ = (-1)^<T,P> P, with <T,P> = 1 when T
+    and P anticommute, a string P lies in l iff #Y(P) + <T,P> is odd.
+
+    ``single_x``  n=1, T = Z: l = span(X), so magnetic fields along x are free.
+    ``two_local`` n=2, T = YY: l = all one-qubit strings, so local operations
+                  are free; the frame is the magic basis.
+    ``ai``        1<=n<=4, T = I, so theta(P) = -P^T: l = strings with an odd
+                  number of Y letters, the orthogonal so(2**n) split; z is the
+                  diagonal {I,Z} span and the adapted frame is the
+                  computational basis itself.
     """
     if kind == "single_x":
         if n != 1:
             raise PreconditionError("single_x requires n=1")
-        q = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-        return CartanSplit(1, ("X",), ("Y", "Z"), ("Z",), q, kind)
+        t, z, q = "Z", ("Z",), np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
     elif kind == "two_local":
         if n != 2:
             raise PreconditionError("two_local requires n=2")
-        strings = pauli_strings(2)
-        l = tuple(s for s in strings if pauli_weight(s) == 1)
-        p = tuple(s for s in strings if pauli_weight(s) == 2)
-        return CartanSplit(2, l, p, ("XX", "YY", "ZZ"), MAGIC_BASIS.copy(), kind)
+        t, z, q = "YY", ("XX", "YY", "ZZ"), MAGIC_BASIS.copy()
     elif kind == "ai":
         if not 1 <= n <= 4:
             raise PreconditionError("ai split supports 1 <= n <= 4")
-        strings = pauli_strings(n)
-        l = tuple(s for s in strings if s.count("Y") % 2 == 1)
-        p = tuple(s for s in strings if s.count("Y") % 2 == 0)
-        z = tuple(s for s in strings if set(s) <= {"I", "Z"})
-        return CartanSplit(n, l, p, z, np.eye(2**n, dtype=complex), kind)
-    raise PreconditionError(f"unknown split kind {kind!r}")
+        t, z, q = "I", None, np.eye(2**n, dtype=complex)
+    else:
+        raise PreconditionError(f"unknown split kind {kind!r}")
+    l, p, diagonal = _involution_bases(n, t)
+    return CartanSplit(n, l, p, diagonal if z is None else z, q, kind)
 
 
 def verify_maximal_abelian(split: CartanSplit) -> bool:
     """True iff z is commuting and nothing in p outside span(z) commutes
-    with all of z (kernel of the joint commutator map has dimension |z|)."""
-    for s, t in itertools.combinations(split.z_basis, 2):
-        if not _strings_commute(s, t):
-            return False
-    # column per p string: its commutators with every z element, stacked
-    joint = np.array([
-        np.concatenate([
-            i_commutator(Hamiltonian(split.n, {s: 1.0}), Hamiltonian(split.n, {z: 1.0})).vec
-            for z in split.z_basis
-        ])
-        for s in split.p_basis
-    ]).T
-    kernel_dim = len(split.p_basis) - np.linalg.matrix_rank(joint, tol=1e-10)
-    return kernel_dim == len(split.z_basis)
+    with all of z.  For distinct strings, the kernel of the joint commutator
+    map on span(p) is spanned by the p strings commuting with every z string.
+    """
+    p, z = _codes(split.n, split.p_basis), _codes(split.n, split.z_basis)
+    if _anticommute(z, z, split.n).any():
+        return False
+    return int((~_anticommute(p, z, split.n).any(axis=1)).sum()) == len(z)
 
 
 @dataclass

@@ -152,7 +152,7 @@ def split_from_json(doc) -> CartanSplit:
         raise ParseError("split document has empty bases")
     n = len(l[0])
     for s in (*l, *p, *z):
-        if len(s) != n or any(c not in "IXYZ" for c in s):
+        if len(s) != n or any(c not in "IXYZ" for c in s) or not s.strip("I"):
             raise ParseError(f"bad Pauli string {s!r}")
     q = matrix_from_json(doc["Q"]) if "Q" in doc else np.eye(2**n, dtype=complex)
     if q.shape != (2**n, 2**n):

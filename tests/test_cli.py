@@ -146,6 +146,19 @@ class TestVerifySplit:
         assert code == 3
         assert out == "" and "--samples" in err
 
+    def test_identity_string_is_a_parse_error(self, tmp_path, capsys):
+        from cartancost.serialize import split_to_json
+
+        doc = split_to_json(pauli.builtin_split(2, "two_local"))
+        doc["l"] = ["II", *doc["l"]]
+        path = tmp_path / "split.json"
+        path.write_text(dumps_canonical(doc))
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
+        for args in (("verify-split",), ("cost", str(u))):
+            code, out, err = run_main(capsys, *args, "--split-file", str(path))
+            assert code == 2
+            assert out == "" and "bad Pauli string 'II'" in err
+
 
 class TestVerifyMetric:
     def test_default_arguments_pass(self, capsys):

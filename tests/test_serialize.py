@@ -66,8 +66,10 @@ class TestSplitJson:
         assert np.allclose(back.q, np.eye(4))
 
     def test_bad_strings_rejected(self):
-        with pytest.raises(serialize.ParseError):
-            serialize.split_from_json({"l": ["XQ"], "p": ["ZZ"], "z": ["ZZ"]})
+        # an unknown letter, and the identity string, which is not in su(2**n)
+        for l in (["XQ"], ["II", "XI"]):
+            with pytest.raises(serialize.ParseError):
+                serialize.split_from_json({"l": l, "p": ["ZZ"], "z": ["ZZ"]})
 
 
 class TestReportJson:
