@@ -55,6 +55,7 @@ from .pauli import (
     Hamiltonian,
     adapted_basis_properties,
     builtin_split,
+    involution,
     pauli_matrix,
     pauli_product,
     pauli_strings,

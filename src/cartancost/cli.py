@@ -85,11 +85,6 @@ def _seed(args) -> int:
     return int(os.environ.get("CARTAN_SEED", "0"))
 
 
-def _check_samples(args) -> None:
-    if args.samples < 1:
-        raise PreconditionError("--samples must be at least 1")
-
-
 def _resolve_split(args, dim: int | None = None) -> CartanSplit:
     if getattr(args, "split_file", None):
         split = split_from_json(_load_json(args.split_file))
@@ -137,20 +132,22 @@ def cmd_cost(args) -> int:
 
 
 def cmd_verify_split(args) -> int:
-    _check_samples(args)
     split = _resolve_split(args)
     report = verify_cartan_split(split)
+    theta = "none" if split.theta is None else (
+        f"{'inner' if split.theta[1] else 'outer'} T = {split.theta[0]}, type {split.type}")
     lines = [
         f"[l,l] closure        {'PASS' if report.ll_ok else 'FAIL'}",
         f"[p,l] containment    {'PASS' if report.pl_ok else 'FAIL'}",
         f"[p,l] spans p        {'PASS' if report.pl_spans else 'FAIL (informational)'}",
         f"[p,p] closure        {'PASS' if report.pp_ok else 'FAIL'}",
         f"orthogonal partition {'PASS' if report.orthogonal_ok else 'FAIL'}",
+        f"involution           {theta}",
     ]
     ok = report.all_ok
     if ok:
         maximal = verify_maximal_abelian(split)
-        adapted = adapted_basis_properties(split, samples=args.samples, seed=_seed(args))
+        adapted = adapted_basis_properties(split)
         lines.append(f"z maximal abelian    {'PASS' if maximal else 'FAIL'}")
         lines.append(
             f"adapted frame        {'PASS' if adapted.ok else 'FAIL'}"
@@ -167,7 +164,8 @@ def cmd_verify_split(args) -> int:
 
 
 def cmd_verify_metric(args) -> int:
-    _check_samples(args)
+    if args.samples < 1:
+        raise PreconditionError("--samples must be at least 1")
     split = _resolve_split(args)
     metric = PenaltyMetric(split, args.epsilon)
     rng = np.random.default_rng(_seed(args))
@@ -261,19 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="KAK-decompose a unitary")
     add_io(p)
-    add_split_options(p)
+    add_split_options(p, with_n=False)
 
     p = sub.add_parser("cost", help="optimal synthesis cost of a unitary")
     add_io(p)
-    add_split_options(p)
+    add_split_options(p, with_n=False)
     p.add_argument("--convention", choices=["standard-pauli", "paper-halved"],
                    default="standard-pauli",
                    help="single-qubit parameter reading to report")
 
     p = sub.add_parser("verify-split", help="check the Cartan-split axioms")
     add_split_options(p)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("verify-metric", help="check the coordinate-metric block structure")
@@ -288,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="penalty-weight sweep of the control oracle")
     add_io(p)
-    add_split_options(p)
+    add_split_options(p, with_n=False)
     p.add_argument("--epsilons", default="1e-1,1e-2,1e-3",
                    help="descending comma-separated weights")
     p.add_argument("--segments", type=int, default=3)

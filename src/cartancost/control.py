@@ -352,7 +352,7 @@ def epsilon_sweep(
             residuals[i] = err.residual if err.residual is not None else np.nan
             continue
         numeric[i] = value
-        residuals[i] = _endpoint_of(path, target)
+        residuals[i] = frobenius_distance(evolve(path), target, mod_global_phase=True)
         converged[i] = True
         within[i] = (analytic - slack - margin) <= value <= (analytic + slack + margin)
     return SweepResult(
@@ -364,7 +364,3 @@ def epsilon_sweep(
         converged=converged,
         within_bounds=within,
     )
-
-
-def _endpoint_of(path: ControlPath, target) -> float:
-    return frobenius_distance(evolve(path), target, mod_global_phase=True)

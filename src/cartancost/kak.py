@@ -31,23 +31,6 @@ __all__ = ["KakFactors", "kak_decompose", "reconstruct", "eigenphases",
 _TWO_PI = 2.0 * np.pi
 
 
-def _perm_parity(perm) -> int:
-    perm = list(perm)
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _canonical_moves(x, tol: float = 1e-6):
     """Fold phases into (-pi, pi], zero the sum by integer pi-moves, sort
     descending.  Returns (canonical, pi_moves, permutation): the input
@@ -116,6 +99,9 @@ def kak_decompose(u, split: CartanSplit, tol: float = 1e-9) -> KakFactors:
     recover A = V O D^{-1} (real orthogonal by construction), canonicalize
     the eigenphases, and map the matrix logarithms back to Hamiltonians.
     """
+    if split.type != "AI":
+        raise PreconditionError("not a Cartan split" if split.type is None
+                                else f"split of type {split.type}: only type AI is priced")
     u = np.asarray(u, dtype=complex)
     dim = 2**split.n
     if u.shape != (dim, dim):
@@ -157,7 +143,7 @@ def kak_decompose(u, split: CartanSplit, tol: float = 1e-9) -> KakFactors:
     signs = np.where(moves % 2 == 0, 1.0, -1.0)
     a = (a * signs[None, :])[:, perm]
     b = b[:, perm]
-    if _perm_parity(perm) < 0:
+    if np.linalg.det(b) < 0:  # det(o) = +1, so this is the sign of perm
         a[:, 0] = -a[:, 0]
         b[:, 0] = -b[:, 0]
     d = np.diag(np.exp(1j * z_vec))

@@ -21,7 +21,8 @@ such a bit operation on arrays of codes.
 The module also owns Cartan splits: a pair of subspaces (l, p) closing under
 commutators as ``[l,l] in l``, ``[p,l] in p``, ``[p,p] in l``, together with
 a maximal commuting subspace z of p and the basis change that makes exp(i*l)
-real orthogonal and z diagonal.
+real orthogonal and z diagonal.  Each such split is the eigenspace split of
+an involution theta, which fixes its type (see :func:`involution`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "project",
     "SplitReport",
     "verify_cartan_split",
+    "involution",
     "builtin_split",
     "verify_maximal_abelian",
     "AdaptedBasisReport",
@@ -289,9 +291,9 @@ def support_residual(h: Hamiltonian, strings) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CartanSplit:
-    """An orthogonal split of su(2**n) with commutator closure, plus the
-    maximal commuting subspace ``z_basis`` of p and the adapted frame ``q``
-    (conjugation by which diagonalizes z and realifies exp(i*l))."""
+    """A split su(2**n) = span(l) + span(p) with its :func:`involution` ``theta``
+    (None if there is none), the maximal commuting subspace ``z_basis`` of p,
+    and the adapted frame ``q``, conjugation by which diagonalizes z and realifies exp(i*l)."""
 
     n: int
     l_basis: tuple[str, ...]
@@ -299,6 +301,14 @@ class CartanSplit:
     z_basis: tuple[str, ...]
     q: np.ndarray = field(repr=False)
     kind: str = "custom"
+    theta: tuple[str, bool] | None = None
+
+    @property
+    def type(self) -> str | None:
+        """AI or AII for an outer theta with even or odd #Y(T), AIII for an inner one."""
+        if self.theta:
+            return "AIII" if self.theta[1] else ("AI", "AII")[self.theta[0].count("Y") % 2]
+        return None
 
     @cached_property
     def l_mask(self) -> np.ndarray:
@@ -366,28 +376,48 @@ def verify_cartan_split(split: CartanSplit) -> SplitReport:
     return SplitReport(ll_ok, pl_ok, pp_ok, orthogonal_ok, pl_spans, violations)
 
 
+def _involution_table(n: int) -> np.ndarray:
+    """Row per string of ``pauli_strings(n)``, True in l; column j < 4**n for
+    the outer theta with T of code j, then the inner ones.  uint8 codes
+    (4**n <= 256) keep it small; it is not cached, as it takes 0.1 ms."""
+    codes = np.arange(4**n, dtype=np.uint8)
+    flips = _anticommute(codes[1:], codes, n)  # <T,P> = 1: T P T^+ = -P
+    odd_y = np.bitwise_count(np.bitwise_and(*_xz(codes[1:, None], n))) & 1 == 1  # x & z marks Y
+    return np.hstack([odd_y ^ flips, ~flips])
+
+
+def involution(n: int, l_basis, p_basis) -> tuple[str, bool] | None:
+    """The involution theta = (T, inner), T a string, with +1 eigenspace span(l)
+    and -1 eigenspace span(p), p not empty; the first in code order, outer
+    before inner, or None (also when a string is in both lists or in neither).
+    By P^T = (-1)^#Y(P) P and T P T^+ = (-1)^<T,P> P (<T,P> = 1 when T and P
+    anticommute), P is in l iff #Y(P) + <T,P> is odd for an outer theta(P) =
+    -T P^T T^+, and iff <T,P> = 0 for an inner theta(P) = T P T^+."""
+    once = sorted(_indices(n, l_basis) + _indices(n, p_basis)) == list(range(4**n - 1))
+    once = once and len(p_basis) > 0  # theta = id is no Cartan involution
+    match = (_involution_table(n) == _mask(n, l_basis)[:, None]).all(axis=0)
+    j = int(match.argmax())
+    return (("I" * n, *pauli_strings(n))[j % 4**n], j >= 4**n) if once and match[j] else None
+
+
 @lru_cache(maxsize=None)
 def _involution_bases(n: int, t: str) -> tuple[tuple[str, ...], ...]:
     """l and p of theta(P) = -T P^T T^+ with T = ``t``, and the diagonal strings."""
-    codes = np.arange(1, 4**n)
-    x, z = _xz(codes, n)
-    flips = _anticommute(codes, np.array([_code(t)]), n)[:, 0]  # T P T^+ = -P
-    in_l = (np.bitwise_count(x & z) + flips) & 1 == 1
-    return tuple(tuple(itertools.compress(pauli_strings(n), m)) for m in (in_l, ~in_l, x == 0))
+    in_l = _involution_table(n)[:, _code(t)]
+    diagonal = _xz(np.arange(1, 4**n), n)[0] == 0
+    return tuple(tuple(itertools.compress(pauli_strings(n), m)) for m in (in_l, ~in_l, diagonal))
 
 
 def builtin_split(n: int, kind: str) -> CartanSplit:
-    """The built-in splits.  Each is the eigenspace split of an involution
-    theta(P) = -T P^T T^+ of su(2**n): l where theta = +1, p where theta = -1.
-    As P^T = (-1)^#Y(P) P and T P T^+ = (-1)^<T,P> P, with <T,P> = 1 when T
-    and P anticommute, a string P lies in l iff #Y(P) + <T,P> is odd.
+    """The built-in splits, each the eigenspace split of an outer involution
+    theta(P) = -T P^T T^+ with a symmetric T, of type AI (see :func:`involution`).
 
     ``single_x``  n=1, T = Z: l = span(X), so magnetic fields along x are free.
     ``two_local`` n=2, T = YY: l = all one-qubit strings, so local operations
                   are free; the frame is the magic basis.
-    ``ai``        1<=n<=4, T = I, so theta(P) = -P^T: l = strings with an odd
-                  number of Y letters, the orthogonal so(2**n) split; z is the
-                  diagonal {I,Z} span and the adapted frame is the
+    ``ai``        1<=n<=4, T = I...I, so theta(P) = -P^T: l = strings with an
+                  odd number of Y letters, the orthogonal so(2**n) split; z is
+                  the diagonal {I,Z} span and the adapted frame is the
                   computational basis itself.
     """
     if kind == "single_x":
@@ -401,11 +431,11 @@ def builtin_split(n: int, kind: str) -> CartanSplit:
     elif kind == "ai":
         if not 1 <= n <= 4:
             raise PreconditionError("ai split supports 1 <= n <= 4")
-        t, z, q = "I", None, np.eye(2**n, dtype=complex)
+        t, z, q = "I" * n, None, np.eye(2**n, dtype=complex)
     else:
         raise PreconditionError(f"unknown split kind {kind!r}")
     l, p, diagonal = _involution_bases(n, t)
-    return CartanSplit(n, l, p, diagonal if z is None else z, q, kind)
+    return CartanSplit(n, l, p, diagonal if z is None else z, q, kind, (t, False))
 
 
 def verify_maximal_abelian(split: CartanSplit) -> bool:
@@ -421,36 +451,25 @@ def verify_maximal_abelian(split: CartanSplit) -> bool:
 
 @dataclass
 class AdaptedBasisReport:
-    """Residuals of the adapted-frame properties on random samples."""
+    """Residuals of the adapted-frame properties over the basis strings."""
 
-    realness: float       # max || Im(q^+ exp(iK) q) || over K in l
-    orthogonality: float  # max || R^T R - I || for the realified images
-    diagonality: float    # max off-diagonal norm of q^+ Z q over Z in z
+    realness: float       # max || Im(q^+ (iP) q) || over the l strings P
+    orthogonality: float  # || q^+ q - I ||
+    diagonality: float    # max off-diagonal norm of q^+ P q over the z strings P
     ok: bool
 
 
-def adapted_basis_properties(
-    split: CartanSplit, samples: int = 20, seed: int = 0
-) -> AdaptedBasisReport:
-    """Numerically verify the adapted frame: conjugation sends exp(i*l) to
-    real orthogonal matrices and z elements to diagonal matrices."""
-    from .linalg import expm  # local import to avoid a cycle
-
-    rng = np.random.default_rng(seed)
-    q = split.q
-    realness = orthogonality = diagonality = 0.0
-    dim = 2**split.n
-    for _ in range(samples):
-        k = random_hamiltonian(split.n, split.l_basis, rng, norm=rng.uniform(0.2, 2.0))
-        img = q.conj().T @ expm(1j * k.to_matrix()) @ q
-        realness = max(realness, float(np.linalg.norm(img.imag)))
-        r = img.real
-        orthogonality = max(
-            orthogonality, float(np.linalg.norm(r.T @ r - np.eye(dim)))
-        )
-        z = random_hamiltonian(split.n, split.z_basis, rng, norm=rng.uniform(0.2, 2.0))
-        img_z = q.conj().T @ z.to_matrix() @ q
-        off = img_z - np.diag(np.diagonal(img_z))
-        diagonality = max(diagonality, float(np.linalg.norm(off)))
+def adapted_basis_properties(split: CartanSplit) -> AdaptedBasisReport:
+    """Check the adapted frame exactly, by one stacked product over the
+    strings: conjugation by a unitary q realifies exp(i*l) iff q^+ (iP) q is
+    real for every l string P, and diagonalizes z iff q^+ P q is diagonal
+    for every z string P."""
+    n, q, qh, dim = split.n, split.q, split.q.conj().T, 2**split.n
+    stack = dense_basis(n)[1]
+    l_img, z_img = (qh @ stack[_indices(n, b)] @ q for b in (split.l_basis, split.z_basis))
+    realness = float(np.max(np.linalg.norm(l_img.real, axis=(1, 2)), initial=0.0))  # Im(iM) = Re M
+    orthogonality = float(np.linalg.norm(qh @ q - np.eye(dim)))
+    off = np.linalg.norm(z_img * (1 - np.eye(dim)), axis=(1, 2))
+    diagonality = float(np.max(off, initial=0.0))
     ok = realness <= 1e-8 and orthogonality <= 1e-8 and diagonality <= 1e-10
     return AdaptedBasisReport(realness, orthogonality, diagonality, ok)

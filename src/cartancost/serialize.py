@@ -18,7 +18,7 @@ import numpy as np
 from .control import SweepResult
 from .cost import CostReport
 from .kak import KakFactors
-from .pauli import CartanSplit, Hamiltonian
+from .pauli import CartanSplit, Hamiltonian, involution
 
 __all__ = [
     "ParseError",
@@ -157,7 +157,7 @@ def split_from_json(doc) -> CartanSplit:
     q = matrix_from_json(doc["Q"]) if "Q" in doc else np.eye(2**n, dtype=complex)
     if q.shape != (2**n, 2**n):
         raise ParseError("frame matrix dimension does not match the strings")
-    return CartanSplit(n, l, p, z, q)
+    return CartanSplit(n, l, p, z, q, theta=involution(n, l, p))
 
 
 def factors_to_json(f: KakFactors, residual: float | None = None) -> dict:

@@ -65,6 +65,15 @@ class TestDecompose:
         assert code == 2
         assert "integer" in err
 
+    @pytest.mark.parametrize("command", ["decompose", "cost", "sweep"])
+    def test_no_qubit_count_option(self, tmp_path, capsys, command):
+        # the matrix fixes n; an --n that would be ignored is a parse error
+        path = write_matrix(tmp_path, "id.json", np.eye(4))
+        with pytest.raises(SystemExit) as stop:
+            main([command, path, "--split", "ai", "--n", "4"])
+        assert stop.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
     def test_dim_mismatch(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "id2.json", np.eye(2))
         code, _, _ = run_main(capsys, "decompose", path, "--split", "two_local")
@@ -118,19 +127,70 @@ class TestCost:
         assert out1 == out2
 
 
+NOT_CARTAN = {"l": ["X", "Y"], "p": ["Z"], "z": ["Z"]}
+
+
+def _aiii_split():
+    """l = the strings commuting with ZI: the inner involution T = ZI."""
+    strings = pauli.pauli_strings(2)
+    return {"l": [s for s in strings if s[0] in "IZ"],
+            "p": [s for s in strings if s[0] not in "IZ"], "z": ["XI", "XZ"]}
+
+
+def _aii_split():
+    """The outer involution with the antisymmetric T = YI: l = sp(2)."""
+    l, p, _ = pauli._involution_bases(2, "YI")
+    return {"l": list(l), "p": list(p), "z": ["IX"]}
+
+
+def write_split(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestSplitGate:
+    """Only splits of type AI are priced; every other split exits 3."""
+
+    def test_not_a_cartan_split(self, tmp_path, capsys):
+        split = write_split(tmp_path, "bad_split.json", NOT_CARTAN)
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(2, 3))
+        for command in ("cost", "decompose", "sweep"):
+            code, out, err = run_main(capsys, command, u, "--split-file", split)
+            assert code == 3, command
+            assert out == "" and "not a Cartan split" in err
+
+    @pytest.mark.parametrize("doc,kind", [(_aiii_split(), "AIII"), (_aii_split(), "AII")])
+    def test_other_types_named(self, tmp_path, capsys, doc, kind):
+        split = write_split(tmp_path, "split.json", doc)
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
+        code, out, err = run_main(capsys, "cost", u, "--split-file", split)
+        assert code == 3
+        assert out == "" and f"type {kind}:" in err
+
+
 class TestVerifySplit:
     def test_builtin_passes(self, capsys):
         code, out, _ = run_main(capsys, "verify-split", "--split", "ai", "--n", "3")
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("n,kind,t", [
+        (1, "single_x", "Z"), (2, "two_local", "YY"),
+        (1, "ai", "I"), (2, "ai", "II"), (3, "ai", "III"), (4, "ai", "IIII"),
+    ])
+    def test_builtin_involutions(self, capsys, n, kind, t):
+        code, out, _ = run_main(capsys, "verify-split", "--split", kind, "--n", str(n))
+        assert code == 0
+        assert "FAIL" not in out
+        assert f"involution           outer T = {t}, type AI\n" in out
+
     def test_corrupted_split_file(self, tmp_path, capsys):
-        doc = {"l": ["X", "Y"], "p": ["Z"], "z": ["Z"]}
-        path = tmp_path / "bad_split.json"
-        path.write_text(json.dumps(doc))
-        code, out, _ = run_main(capsys, "verify-split", "--split-file", str(path))
+        path = write_split(tmp_path, "bad_split.json", NOT_CARTAN)
+        code, out, _ = run_main(capsys, "verify-split", "--split-file", path)
         assert code == 1
         assert "violation" in out and "[X, Y] -> Z" in out
+        assert "involution           none\n" in out
 
     def test_custom_split_file_passes(self, tmp_path, capsys):
         from cartancost.serialize import split_to_json
@@ -140,11 +200,6 @@ class TestVerifySplit:
         path.write_text(dumps_canonical(doc))
         code, _, _ = run_main(capsys, "verify-split", "--split-file", str(path))
         assert code == 0
-
-    def test_zero_samples_rejected(self, capsys):
-        code, out, err = run_main(capsys, "verify-split", "--split", "single_x", "--samples", "0")
-        assert code == 3
-        assert out == "" and "--samples" in err
 
     def test_identity_string_is_a_parse_error(self, tmp_path, capsys):
         from cartancost.serialize import split_to_json
@@ -319,8 +374,9 @@ class TestInProcessReuse:
 
         parser = build_parser()
         assert build_parser() is parser
-        first = parser.parse_args(["decompose", "a.json", "--split-file", "s.json", "--n", "3"])
-        second = parser.parse_args(["decompose", "b.json"])
+        first = parser.parse_args(["verify-split", "-o", "a.txt", "--split-file", "s.json",
+                                   "--n", "3"])
+        second = parser.parse_args(["verify-split"])
         assert first is not second
-        assert (second.input, second.split, second.split_file, second.n) == (
-            "b.json", "two_local", None, None)
+        assert (second.output, second.split, second.split_file, second.n) == (
+            "-", "two_local", None, None)

@@ -243,6 +243,10 @@ class TestReferenceEquivalence:
         got, want = pa.verify_cartan_split(split), _ref_verify_cartan_split(split)
         assert got == want  # every field, violations in order
         assert pa.verify_maximal_abelian(split) == _ref_verify_maximal_abelian(split)
+        # an involution is found iff the closures hold and the lists partition
+        partition = sorted(split.l_basis + split.p_basis) == sorted(pa.pauli_strings(split.n))
+        theta = pa.involution(split.n, split.l_basis, split.p_basis)
+        assert (theta is not None) == (want.ll_ok and want.pl_ok and want.pp_ok and partition)
 
     @pytest.mark.parametrize("n,kind", BUILTIN)
     def test_builtin_splits(self, n, kind):
@@ -302,13 +306,29 @@ class TestSplits:
     @pytest.mark.parametrize("n,kind", BUILTIN)
     def test_builtin_splits_are_involution_eigenspaces(self, n, kind):
         # theta(P) = -T P^T T^+ on dense matrices: +P exactly on l, -P on p
-        t = pa.pauli_matrix({"single_x": "Z", "two_local": "YY", "ai": "I" * n}[kind])
+        name = {"single_x": "Z", "two_local": "YY", "ai": "I" * n}[kind]
+        t = pa.pauli_matrix(name)
         split = pa.builtin_split(n, kind)
         for basis, sign in ((split.l_basis, 1), (split.p_basis, -1)):
             for s in basis:
                 m = pa.pauli_matrix(s)
                 assert np.array_equal(-t @ m.T @ t.conj().T, sign * m)
         assert sorted(split.l_basis + split.p_basis) == sorted(pa.pauli_strings(n))
+        # recovered from the lists alone, the same outer theta
+        assert pa.involution(n, split.l_basis, split.p_basis) == split.theta == (name, False)
+        assert split.type == "AI"
+
+    def test_recovered_types(self):
+        strings = pa.pauli_strings(2)
+        aiii = [s for s in strings if s[0] in "IZ"], [s for s in strings if s[0] not in "IZ"]
+        aii = pa._involution_bases(2, "YI")[:2]
+        for (l, p), theta, kind in ((aiii, ("ZI", True), "AIII"), (aii, ("YI", False), "AII")):
+            assert pa.involution(2, l, p) == theta
+            split = pa.CartanSplit(2, tuple(l), tuple(p), (), np.eye(4), theta=theta)
+            assert split.type == kind
+        # theta = id, at n=1 also the outer T = Y, splits off no p
+        for n in (1, 2):
+            assert pa.involution(n, pa.pauli_strings(n), ()) is None
 
     @pytest.mark.parametrize("n,kind", BUILTIN)
     def test_builtin_splits_match_string_filters(self, n, kind):
@@ -336,11 +356,48 @@ class TestSplits:
             pa.builtin_split(5, "ai")
 
 
+def _ref_adapted_basis_properties(
+    split: pa.CartanSplit, samples: int = 20, seed: int = 0
+) -> pa.AdaptedBasisReport:
+    """Numerically verify the adapted frame: conjugation sends exp(i*l) to
+    real orthogonal matrices and z elements to diagonal matrices."""
+    rng = np.random.default_rng(seed)
+    q = split.q
+    realness = orthogonality = diagonality = 0.0
+    dim = 2**split.n
+    for _ in range(samples):
+        k = pa.random_hamiltonian(split.n, split.l_basis, rng, norm=rng.uniform(0.2, 2.0))
+        img = q.conj().T @ expm(1j * k.to_matrix()) @ q
+        realness = max(realness, float(np.linalg.norm(img.imag)))
+        r = img.real
+        orthogonality = max(
+            orthogonality, float(np.linalg.norm(r.T @ r - np.eye(dim)))
+        )
+        z = pa.random_hamiltonian(split.n, split.z_basis, rng, norm=rng.uniform(0.2, 2.0))
+        img_z = q.conj().T @ z.to_matrix() @ q
+        off = img_z - np.diag(np.diagonal(img_z))
+        diagonality = max(diagonality, float(np.linalg.norm(off)))
+    ok = realness <= 1e-8 and orthogonality <= 1e-8 and diagonality <= 1e-10
+    return pa.AdaptedBasisReport(realness, orthogonality, diagonality, ok)
+
+
 class TestAdaptedBasis:
     @pytest.mark.parametrize("n,kind", [(1, "single_x"), (2, "two_local"), (2, "ai"), (3, "ai")])
     def test_builtin_frames(self, n, kind):
-        report = pa.adapted_basis_properties(pa.builtin_split(n, kind), samples=10, seed=7)
+        report = pa.adapted_basis_properties(pa.builtin_split(n, kind))
         assert report.ok
+
+    @pytest.mark.parametrize("n,kind,frame", [
+        *((n, kind, None) for n, kind in BUILTIN), (2, "two_local", "identity"), (2, "ai", "magic"),
+    ])
+    def test_sampled_reference_verdict(self, n, kind, frame):
+        # the built-in frames pass; the identity and magic frames are swapped-in wrong ones
+        split = pa.builtin_split(n, kind)
+        if frame is not None:
+            q = np.eye(4, dtype=complex) if frame == "identity" else pa.MAGIC_BASIS
+            split = pa.CartanSplit(n, split.l_basis, split.p_basis, split.z_basis, q)
+        assert pa.adapted_basis_properties(split).ok == (frame is None)
+        assert _ref_adapted_basis_properties(split).ok == (frame is None)
 
     def test_magic_frame_realifies_products(self):
         # a random local product conjugates to a real matrix in the magic frame

@@ -65,6 +65,12 @@ class TestSplitJson:
         back = serialize.split_from_json(doc)
         assert np.allclose(back.q, np.eye(4))
 
+    @pytest.mark.parametrize("n,kind", [(1, "single_x"), (2, "two_local"), (3, "ai")])
+    def test_involution_recovered(self, n, kind):
+        split = pauli.builtin_split(n, kind)
+        back = serialize.split_from_json(serialize.split_to_json(split))
+        assert back.theta == split.theta and back.type == "AI"
+
     def test_bad_strings_rejected(self):
         # an unknown letter, and the identity string, which is not in su(2**n)
         for l in (["XQ"], ["II", "XI"]):
