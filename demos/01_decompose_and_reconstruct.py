@@ -31,7 +31,7 @@ print("eigenphases of the central factor:", np.round(eigenphases(factors), 6))
 
 rebuilt = reconstruct(factors)
 target, _ = project_special(cnot)
-print("reconstruction residual:", frobenius_distance(rebuilt, target, mod_global_phase=True))
+print("reconstruction residual:", frobenius_distance(rebuilt, target))
 
 # the adapted-frame factors are real orthogonal around a diagonal core
 print("max |Im A|:", np.abs(factors.a.imag).max() if np.iscomplexobj(factors.a) else 0.0)

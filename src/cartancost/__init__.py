@@ -42,7 +42,6 @@ from .linalg import (
 from .metric import (
     CoordinateGram,
     GramStructureReport,
-    GramTolerances,
     PenaltyMetric,
     bch_matrix,
     bch_operator,
@@ -59,7 +58,6 @@ from .pauli import (
     pauli_matrix,
     pauli_product,
     pauli_strings,
-    project,
     random_hamiltonian,
     trace_inner_product,
     verify_cartan_split,

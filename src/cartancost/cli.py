@@ -23,7 +23,7 @@ from .cost import optimal_cost
 from .errors import ConvergenceFailure, NumericalFailure, PreconditionError
 from .kak import kak_decompose, reconstruct
 from .linalg import frobenius_distance, haar_random_special_unitary
-from .metric import GramTolerances, PenaltyMetric, pullback_gram, verify_gram_structure
+from .metric import PenaltyMetric, pullback_gram, verify_gram_structure
 from .pauli import (
     CartanSplit,
     Hamiltonian,
@@ -86,7 +86,9 @@ def _seed(args) -> int:
 
 
 def _resolve_split(args, dim: int | None = None) -> CartanSplit:
-    if getattr(args, "split_file", None):
+    if args.split_file:
+        if getattr(args, "n", None) is not None:
+            raise ParseError("--n cannot be combined with --split-file")
         split = split_from_json(_load_json(args.split_file))
     else:
         kind = args.split
@@ -107,6 +109,8 @@ def _resolve_split(args, dim: int | None = None) -> CartanSplit:
 # -- commands ------------------------------------------------------------------
 
 def cmd_random(args) -> int:
+    if not 1 <= args.n <= 4:
+        raise PreconditionError(f"--n must lie in 1..4, got {args.n}")
     u = haar_random_special_unitary(2**args.n, _seed(args))
     _write_text(args.output, dumps_canonical(matrix_to_json(u)))
     return EXIT_OK
@@ -116,7 +120,7 @@ def cmd_decompose(args) -> int:
     u = matrix_from_json(_load_json(args.input))
     split = _resolve_split(args, dim=u.shape[0])
     factors = kak_decompose(u, split)
-    residual = frobenius_distance(reconstruct(factors), u, mod_global_phase=True)
+    residual = frobenius_distance(reconstruct(factors), u)
     _write_text(args.output, dumps_canonical(factors_to_json(factors, residual)))
     return EXIT_OK
 
@@ -180,7 +184,7 @@ def cmd_verify_metric(args) -> int:
         else:
             z = random_hamiltonian(split.n, split.z_basis, rng, norm=rng.uniform(0.2, 1.0))
         gram = pullback_gram((l, z, m), metric, fd_step=args.fd_step)
-        rep = verify_gram_structure(gram, metric, GramTolerances())
+        rep = verify_gram_structure(gram, metric)
         gram_docs.append(gram_to_json(gram, rep))
         good = rep.all_ok and not gram.step_degenerate
         ok = ok and good
@@ -240,12 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_split_options(p, with_n=True):
-        p.add_argument("--split", choices=["single_x", "two_local", "ai"],
-                       default="two_local", help="built-in split kind")
-        p.add_argument("--split-file", default=None,
-                       help="JSON split document (overrides --split)")
+        kind = p.add_mutually_exclusive_group()
+        kind.add_argument("--split", choices=["single_x", "two_local", "ai"],
+                          default="two_local", help="built-in split kind")
+        kind.add_argument("--split-file", default=None,
+                          help="JSON split document, in place of --split")
         if with_n:
-            p.add_argument("--n", type=int, default=None, help="qubit count (ai split)")
+            p.add_argument("--n", type=int, default=None,
+                           help="qubit count (ai split; not with --split-file)")
 
     def add_io(p):
         p.add_argument("input", nargs="?", default="-",

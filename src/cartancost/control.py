@@ -14,7 +14,7 @@ as the optimizer's warm start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _LAMBDA_SCHEDULE = (10.0, 1e2, 1e3, 1e4)
+_ENDPOINT_TOL = 1e-4  # largest accepted endpoint distance of an optimized path
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +159,7 @@ class _Objective:
 
     def endpoint(self, rows: np.ndarray) -> float:
         u = _ordered_product(self._segments(rows)[2])
-        return frobenius_distance(u, self.target, mod_global_phase=True)
+        return frobenius_distance(u, self.target)
 
     def value_and_grad(self, rows: np.ndarray, lam: float):
         """Penalized value and its exact gradient with respect to ``rows``.
@@ -225,7 +226,6 @@ def optimize_path(
     restarts: int = 2,
     seed: int = 0,
     init_paths=(),
-    endpoint_tol: float = 1e-4,
     max_iter: int = 2000,
 ) -> tuple[ControlPath, float]:
     """Best-of-restarts local search for a cheap path reaching ``target``.
@@ -274,7 +274,7 @@ def optimize_path(
     best_rows, best_key = None, None
     for rows in candidates:
         residual = obj.endpoint(rows)
-        key = (residual > endpoint_tol, obj.cost(rows) if residual <= endpoint_tol else residual)
+        key = (residual > _ENDPOINT_TOL, obj.cost(rows) if residual <= _ENDPOINT_TOL else residual)
         if best_key is None or key < best_key:
             best_key, best_rows = key, rows
     failed, value = best_key
@@ -299,9 +299,9 @@ class SweepResult:
     numeric_costs: np.ndarray
     analytic_cost: float
     endpoint_residuals: np.ndarray
-    feasible_costs: np.ndarray = field(default=None)
-    converged: np.ndarray = field(default=None)
-    within_bounds: np.ndarray = field(default=None)
+    feasible_costs: np.ndarray
+    converged: np.ndarray
+    within_bounds: np.ndarray
 
     @property
     def ok(self) -> bool:
@@ -315,7 +315,6 @@ def epsilon_sweep(
     segments: int = 3,
     restarts: int = 2,
     seed: int = 0,
-    endpoint_tol: float = 1e-4,
     max_iter: int = 2000,
 ) -> SweepResult:
     """Optimize the target at each penalty weight and compare to the
@@ -341,18 +340,17 @@ def epsilon_sweep(
         metric = PenaltyMetric(split, float(e))
         feasible_costs[i] = path_cost(feasible, metric)
         slack = np.sqrt(e) * free_norm
-        margin = 1e-3 * max(analytic, 1.0) + 10.0 * endpoint_tol
+        margin = 1e-3 * max(analytic, 1.0) + 10.0 * _ENDPOINT_TOL
         try:
             path, value = optimize_path(
                 target, metric, segments=segments, restarts=restarts,
-                seed=seed + i, init_paths=(feasible,),
-                endpoint_tol=endpoint_tol, max_iter=max_iter,
+                seed=seed + i, init_paths=(feasible,), max_iter=max_iter,
             )
         except ConvergenceFailure as err:
             residuals[i] = err.residual if err.residual is not None else np.nan
             continue
         numeric[i] = value
-        residuals[i] = frobenius_distance(evolve(path), target, mod_global_phase=True)
+        residuals[i] = frobenius_distance(evolve(path), target)
         converged[i] = True
         within[i] = (analytic - slack - margin) <= value <= (analytic + slack + margin)
     return SweepResult(

@@ -88,11 +88,14 @@ class InvarianceReport:
     ok: bool
 
 
+_INVARIANCE_TOL = 1e-8  # largest accepted move of the cost under a free dressing
+
+
 def cheap_invariance_check(
-    u, split: CartanSplit, samples: int = 20, seed: int = 0, tol: float = 1e-8
+    u, split: CartanSplit, samples: int = 20, seed: int = 0
 ) -> InvarianceReport:
     """Verify that left/right multiplication by exp(i l-element) is free:
-    the optimal cost must not move by more than ``tol``."""
+    the optimal cost must not move by more than 1e-8."""
     rng = np.random.default_rng(seed)
     base = optimal_cost(u, split).cost
     u = np.asarray(u, dtype=complex)
@@ -102,4 +105,4 @@ def cheap_invariance_check(
         k2 = random_hamiltonian(split.n, split.l_basis, rng, norm=rng.uniform(0.3, 2.5))
         dressed = expm(1j * k1.to_matrix()) @ u @ expm(1j * k2.to_matrix())
         worst = max(worst, abs(optimal_cost(dressed, split).cost - base))
-    return InvarianceReport(base, worst, samples, worst <= tol)
+    return InvarianceReport(base, worst, samples, worst <= _INVARIANCE_TOL)

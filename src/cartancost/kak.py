@@ -29,9 +29,10 @@ __all__ = ["KakFactors", "kak_decompose", "reconstruct", "eigenphases",
            "canonicalize_phases"]
 
 _TWO_PI = 2.0 * np.pi
+_PHASE_SUM_TOL = 1e-6  # largest accepted distance of the phase sum from a multiple of pi
 
 
-def _canonical_moves(x, tol: float = 1e-6):
+def _canonical_moves(x):
     """Fold phases into (-pi, pi], zero the sum by integer pi-moves, sort
     descending.  Returns (canonical, pi_moves, permutation): the input
     satisfies ``x = canonical[inv(perm)] + pi * pi_moves`` up to rounding.
@@ -46,7 +47,7 @@ def _canonical_moves(x, tol: float = 1e-6):
 
     total = z.sum()
     k = int(round(total / np.pi))
-    if abs(total - k * np.pi) > tol:
+    if abs(total - k * np.pi) > _PHASE_SUM_TOL:
         raise PreconditionError(
             f"phase sum {total:.6g} is not an integer multiple of pi"
         )
@@ -64,10 +65,10 @@ def _canonical_moves(x, tol: float = 1e-6):
     return z[perm], moves.astype(int), perm
 
 
-def canonicalize_phases(x, tol: float = 1e-6) -> np.ndarray:
+def canonicalize_phases(x) -> np.ndarray:
     """Canonical eigenphase vector: descending, entries in (-pi, pi],
     sum zero (enforced by pi-lattice moves plus a rounding-level snap)."""
-    z, _, _ = _canonical_moves(x, tol=tol)
+    z, _, _ = _canonical_moves(x)
     return z
 
 
@@ -91,7 +92,10 @@ class KakFactors:
     removed_phase: float = 0.0
 
 
-def kak_decompose(u, split: CartanSplit, tol: float = 1e-9) -> KakFactors:
+_UNITARY_TOL = 1e-9  # largest accepted |u^+ u - I|_F of an input
+
+
+def kak_decompose(u, split: CartanSplit) -> KakFactors:
     """Decompose a special unitary against a Cartan split.
 
     Pipeline: move to the adapted frame, diagonalize V^T V with a real
@@ -108,14 +112,14 @@ def kak_decompose(u, split: CartanSplit, tol: float = 1e-9) -> KakFactors:
         raise PreconditionError(
             f"matrix dimension {u.shape} does not match the split (n={split.n})"
         )
-    if not is_unitary(u, tol):
+    if not is_unitary(u, _UNITARY_TOL):
         raise PreconditionError("input is not unitary within tolerance")
     u_s, removed = project_special(u)
 
     q = split.q
     v = q.conj().T @ u_s @ q
     msym = v.T @ v
-    o, e = diag_symmetric_unitary(msym, tol=max(tol, 1e-10))
+    o, e = diag_symmetric_unitary(msym)
 
     phases = np.angle(e) / 2.0  # principal square root, in (-pi/2, pi/2]
     if int(round(phases.sum() / np.pi)) % 2 != 0:

@@ -73,8 +73,8 @@ def expm(x) -> np.ndarray:
     return hermitian_exp(1j * np.asarray(x, dtype=complex))[2]
 
 
-def frobenius_distance(u, v, mod_global_phase: bool = False) -> float:
-    """Frobenius distance ||u - v||_F, optionally minimized over a global phase.
+def frobenius_distance(u, v) -> float:
+    """Frobenius distance ||u - v||_F minimized over a global phase of ``v``.
 
     The minimizing phase is the argument of tr(u^+ v), so the quotient
     distance is still closed-form.
@@ -83,10 +83,9 @@ def frobenius_distance(u, v, mod_global_phase: bool = False) -> float:
     v = _as_matrix(v)
     if u.shape != v.shape:
         raise PreconditionError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    if mod_global_phase:
-        overlap = np.trace(u.conj().T @ v)
-        if abs(overlap) > 0.0:
-            v = v * (overlap.conjugate() / abs(overlap))
+    overlap = np.trace(u.conj().T @ v)
+    if abs(overlap) > 0.0:
+        v = v * (overlap.conjugate() / abs(overlap))
     return float(np.linalg.norm(u - v))
 
 
@@ -145,7 +144,10 @@ def _refine_clusters(o: np.ndarray, values: np.ndarray, other: np.ndarray,
     return o
 
 
-def diag_symmetric_unitary(msym, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+_DIAG_RESIDUAL_TOL = 1e-9  # largest accepted |o diag(e) o^T - msym|_F
+
+
+def diag_symmetric_unitary(msym) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a complex-symmetric unitary with a real orthogonal frame.
 
     Returns ``(o, e)`` with ``o`` real special orthogonal and ``e`` the vector
@@ -175,7 +177,7 @@ def diag_symmetric_unitary(msym, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
         o = _refine_clusters(o, w, im, eye_gap)
         e = np.einsum("ji,jk,ki->i", o, msym, o)
         residual = np.linalg.norm(o @ (e[:, None] * o.T) - msym)
-        if residual <= tol:
+        if residual <= _DIAG_RESIDUAL_TOL:
             if np.linalg.det(o) < 0:
                 o[:, 0] = -o[:, 0]
             e = e / np.abs(e)

@@ -29,7 +29,6 @@ from .pauli import (
     _indices,
     dense_basis,
     hermitian_coefficients,
-    project,
     support_residual,
     trace_inner_product,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "bch_matrix",
     "CoordinateGram",
     "pullback_gram",
-    "GramTolerances",
     "GramStructureReport",
     "verify_gram_structure",
 ]
@@ -65,8 +63,8 @@ def hamiltonian_cost(h: Hamiltonian, metric: PenaltyMetric) -> float:
     Independent of the base unitary (the cost form is right-invariant) and
     exactly homogeneous: C(a*H) = |a| * C(H).
     """
-    hl = project(h, metric.split, "l")
-    hp = project(h, metric.split, "p")
+    hl = h.restrict(metric.split.l_basis)
+    hp = h.restrict(metric.split.p_basis)
     return float(
         np.sqrt(
             metric.epsilon * trace_inner_product(hl, hl)
@@ -124,12 +122,12 @@ class CoordinateGram:
 
     base: tuple[Hamiltonian, Hamiltonian, Hamiltonian]
     gram: np.ndarray = field(repr=False)
-    fd_step: float = 1e-4
-    sym_residual: float = 0.0
-    check_delta: float = 0.0
-    step_degenerate: bool = False
-    _n_l: int = 0
-    _n_z: int = 0
+    fd_step: float
+    sym_residual: float
+    check_delta: float
+    step_degenerate: bool
+    _n_l: int
+    _n_z: int
 
     def block(self, i: int, j: int) -> np.ndarray:
         """1-indexed (i, j) sub-block of the 3x3 block partition."""
@@ -199,17 +197,6 @@ def pullback_gram(base, metric: PenaltyMetric, fd_step: float = 1e-4) -> Coordin
 
 
 @dataclass
-class GramTolerances:
-    """Tolerances for the Gram structure checks."""
-
-    offdiag_abs: float = 1e-4
-    center_abs: float = 1e-5
-    first_block_rel: float = 1e-4
-    psd_tol: float = 1e-8
-    zero_base_rel: float = 1e-4
-
-
-@dataclass
 class GramStructureReport:
     """Outcome of the block-structure checks on a measured Gram."""
 
@@ -234,11 +221,15 @@ class GramStructureReport:
         )
 
 
-def verify_gram_structure(
-    gram: CoordinateGram,
-    metric: PenaltyMetric,
-    tolerances: GramTolerances | None = None,
-) -> GramStructureReport:
+# thresholds of the four checks of verify_gram_structure, in its order
+_OFFDIAG_ABS = 1e-4      # largest entry of the (1,2), (2,3) and (1,3) blocks
+_CENTER_ABS = 1e-5       # largest entry of G22 - I
+_FIRST_BLOCK_REL = 1e-4  # |G11 - eps B_L^T B_L| / |eps B_L^T B_L|
+_PSD_TOL = 1e-8          # least eigenvalue of G33 may not lie below -_PSD_TOL
+_ZERO_BASE_REL = 1e-4    # at Z = 0: |G33 - eps B_M^T B_M| / eps
+
+
+def verify_gram_structure(gram: CoordinateGram, metric: PenaltyMetric) -> GramStructureReport:
     """Check the measured Gram against the predicted block structure.
 
     (a) off-diagonal blocks vanish (they are exactly zero for the (1,2) and
@@ -250,7 +241,6 @@ def verify_gram_structure(
     the identity for an abelian l).  Eigenvalue ranges of the last block
     are recorded either way.
     """
-    tol = tolerances or GramTolerances()
     l, z, m = gram.base
 
     offdiag_max = max(
@@ -258,22 +248,22 @@ def verify_gram_structure(
         float(np.max(np.abs(gram.block(2, 3)))),
         float(np.max(np.abs(gram.block(1, 3)))),
     )
-    offdiag_ok = offdiag_max <= tol.offdiag_abs
+    offdiag_ok = offdiag_max <= _OFFDIAG_ABS
 
     center = gram.block(2, 2)
     center_max_dev = float(np.max(np.abs(center - np.eye(center.shape[0]))))
-    center_ok = center_max_dev <= tol.center_abs
+    center_ok = center_max_dev <= _CENTER_ABS
 
     bch = bch_matrix(l, metric.split)
     predicted = metric.epsilon * bch.T @ bch
     first = gram.block(1, 1)
     denom = max(float(np.linalg.norm(predicted)), 1e-300)
     first_rel = float(np.linalg.norm(first - predicted)) / denom
-    first_block_ok = first_rel <= tol.first_block_rel
+    first_block_ok = first_rel <= _FIRST_BLOCK_REL
 
     last = gram.block(3, 3)
     eigs = np.linalg.eigvalsh((last + last.T) / 2.0)
-    psd = bool(eigs.min() >= -tol.psd_tol)
+    psd = bool(eigs.min() >= -_PSD_TOL)
     zero_dev = None
     last_ok = psd
     if z.norm() == 0.0:
@@ -281,7 +271,7 @@ def verify_gram_structure(
         bch_m = bch_matrix(m, metric.split)
         target = metric.epsilon * bch_m.T @ bch_m
         zero_dev = float(np.linalg.norm(last - target)) / metric.epsilon
-        last_ok = psd and zero_dev <= tol.zero_base_rel
+        last_ok = psd and zero_dev <= _ZERO_BASE_REL
     return GramStructureReport(
         offdiag_max=offdiag_max,
         offdiag_ok=offdiag_ok,

@@ -47,7 +47,6 @@ __all__ = [
     "random_hamiltonian",
     "support_residual",
     "CartanSplit",
-    "project",
     "SplitReport",
     "verify_cartan_split",
     "involution",
@@ -314,13 +313,6 @@ class CartanSplit:
     def l_mask(self) -> np.ndarray:
         """True at the l strings, over ``pauli_strings(n)``."""
         return _mask(self.n, self.l_basis)
-
-
-def project(h: Hamiltonian, split: CartanSplit, which: str) -> Hamiltonian:
-    """Coefficient-wise restriction of ``h`` to the l or p basis list."""
-    if which not in ("l", "p"):
-        raise PreconditionError("which must be 'l' or 'p'")
-    return h.restrict(split.l_basis if which == "l" else split.p_basis)
 
 
 @dataclass

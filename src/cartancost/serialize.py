@@ -136,7 +136,7 @@ def split_to_json(split: CartanSplit) -> dict:
         "p": list(split.p_basis),
         "z": list(split.z_basis),
     }
-    if not np.allclose(split.q, np.eye(2**split.n)):
+    if not np.array_equal(split.q, np.eye(2**split.n)):
         doc["Q"] = matrix_to_json(split.q)
     return doc
 
@@ -195,9 +195,10 @@ def cost_report_to_json(report: CostReport, convention: str = "standard-pauli") 
     return doc
 
 
-def gram_to_json(gram, report=None) -> dict:
-    """Named blocks of a measured coordinate Gram plus residual diagnostics."""
-    doc = {
+def gram_to_json(gram, report) -> dict:
+    """Named blocks of a measured coordinate Gram, residual diagnostics and
+    the outcome of its structure checks."""
+    return {
         "fd_step": float(gram.fd_step),
         "sym_residual": float(gram.sym_residual),
         "check_delta": float(gram.check_delta),
@@ -208,9 +209,7 @@ def gram_to_json(gram, report=None) -> dict:
             for j in (1, 2, 3)
             if j >= i
         },
-    }
-    if report is not None:
-        doc["structure"] = {
+        "structure": {
             "offdiag_max": report.offdiag_max,
             "offdiag_ok": report.offdiag_ok,
             "center_max_dev": report.center_max_dev,
@@ -221,8 +220,8 @@ def gram_to_json(gram, report=None) -> dict:
             "last_block_psd": report.last_block_psd,
             "last_block_zero_base_dev": report.last_block_zero_base_dev,
             "ok": report.all_ok,
-        }
-    return doc
+        },
+    }
 
 
 def sweep_to_json(sw: SweepResult) -> dict:

@@ -215,6 +215,38 @@ class TestVerifySplit:
             assert out == "" and "bad Pauli string 'II'" in err
 
 
+class TestSplitFileExclusive:
+    """--split-file stands in place of --split and --n: giving either with it
+    is a parse error naming both options, never a silently ignored setting."""
+
+    @staticmethod
+    def two_local_file(tmp_path):
+        from cartancost.serialize import split_to_json
+
+        return write_split(tmp_path, "tl.json", split_to_json(pauli.builtin_split(2, "two_local")))
+
+    @pytest.mark.parametrize("command", ["decompose", "cost", "sweep"])
+    def test_matrix_commands(self, tmp_path, capsys, command):
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
+        with pytest.raises(SystemExit) as stop:
+            main([command, u, "--split-file", self.two_local_file(tmp_path), "--split", "ai"])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --split: not allowed with argument --split-file" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify-split", "verify-metric"])
+    def test_split_commands(self, tmp_path, capsys, command):
+        split = self.two_local_file(tmp_path)
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--split-file", split, "--split", "ai", "--n", "3"])
+        assert stop.value.code == 2
+        assert "argument --split: not allowed with argument --split-file" in capsys.readouterr().err
+        code, out, err = run_main(capsys, command, "--split-file", split, "--n", "3")
+        assert code == 2
+        assert out == "" and "--n cannot be combined with --split-file" in err
+
+
 class TestVerifyMetric:
     def test_default_arguments_pass(self, capsys):
         # base 0 has Z = 0, where the two_local last block is eps * B_M^T B_M
@@ -298,6 +330,22 @@ class TestRandom:
         _, out1, _ = run_main(capsys, "random", "--n", "1")
         _, out2, _ = run_main(capsys, "random", "--n", "1", "--seed", "123")
         assert out1 == out2
+
+    @pytest.mark.parametrize("n", ["0", "5", "40"])
+    def test_qubit_count_bounded(self, tmp_path, capsys, monkeypatch, n):
+        # refused before any matrix is drawn or file written: at n = 40 the
+        # draw alone would ask for two 2^40 x 2^40 arrays
+        from cartancost import cli
+
+        def never(*_):
+            raise AssertionError("drew a matrix for an out-of-range n")
+
+        monkeypatch.setattr(cli, "haar_random_special_unitary", never)
+        out_path = tmp_path / "u.json"
+        code, out, err = run_main(capsys, "random", "--n", n, "-o", str(out_path))
+        assert code == 3
+        assert out == "" and f"--n must lie in 1..4, got {n}" in err
+        assert not out_path.exists()
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -75,7 +75,7 @@ class TestFeasiblePath:
             u = la.haar_random_special_unitary(dim, 600 + seed)
             report = cost.optimal_cost(u, split)
             path = ct.optimal_feasible_path(report)
-            assert la.frobenius_distance(ct.evolve(path), u, mod_global_phase=True) < 1e-9
+            assert la.frobenius_distance(ct.evolve(path), u) < 1e-9
             for eps in (1e-2, 1e-4):
                 metric = mt.PenaltyMetric(split, eps)
                 assert ct.path_cost(path, metric) >= report.cost - 1e-12
@@ -185,15 +185,16 @@ class TestTwoQubitSweep:
 
 
 class TestNonConvergence:
-    def test_unreachable_tolerance_raises(self, single_x=None):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         from cartancost.errors import ConvergenceFailure
 
+        monkeypatch.setattr(ct, "_ENDPOINT_TOL", 1e-16)
         split = pauli.builtin_split(1, "single_x")
         u = la.haar_random_special_unitary(2, 42)
         with pytest.raises(ConvergenceFailure) as exc:
             ct.optimize_path(
                 u, mt.PenaltyMetric(split, 1e-2), segments=3, restarts=1,
-                seed=0, endpoint_tol=1e-16, max_iter=2,
+                seed=0, max_iter=2,
             )
         assert exc.value.residual is not None and exc.value.residual > 1e-16
 

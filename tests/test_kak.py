@@ -8,7 +8,7 @@ from cartancost.errors import PreconditionError
 
 def roundtrip_residual(u, split):
     f = kak.kak_decompose(u, split)
-    return f, la.frobenius_distance(kak.reconstruct(f), u, mod_global_phase=True)
+    return f, la.frobenius_distance(kak.reconstruct(f), u)
 
 
 class TestCanonicalPhases:
@@ -85,16 +85,14 @@ class TestKakRoundTrip:
         assert set(f.l.coeffs) <= set(split.l_basis)
         assert set(f.m.coeffs) <= set(split.l_basis)
         assert set(f.z.coeffs) <= set(split.z_basis)
-        assert la.frobenius_distance(kak.reconstruct(f), u, mod_global_phase=True) < 1e-8
+        assert la.frobenius_distance(kak.reconstruct(f), u) < 1e-8
 
     def test_global_phase_projection(self):
         split = pauli.builtin_split(2, "two_local")
         u = la.haar_random_special_unitary(4, 9)
         f_phased = kak.kak_decompose(np.exp(0.3j) * u, split)
         assert abs(f_phased.removed_phase - 0.3) < 1e-9
-        assert la.frobenius_distance(
-            kak.reconstruct(f_phased), u, mod_global_phase=True
-        ) < 1e-8
+        assert la.frobenius_distance(kak.reconstruct(f_phased), u) < 1e-8
 
     def test_dimension_mismatch(self):
         with pytest.raises(PreconditionError):

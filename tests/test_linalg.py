@@ -158,7 +158,7 @@ class TestFrobeniusDistance:
         assert la.frobenius_distance(np.eye(3), np.eye(3)) == 0.0
 
     def test_phase_quotient(self):
-        assert la.frobenius_distance(np.eye(2), -np.eye(2), mod_global_phase=True) < 1e-12
+        assert la.frobenius_distance(np.eye(2), -np.eye(2)) < 1e-12
 
     def test_analytic_value(self):
         assert abs(la.frobenius_distance(np.eye(2), np.diag([1.0, -1.0])) - 2.0) < 1e-14

@@ -257,3 +257,38 @@ class TestGramStructure:
         report = mt.verify_gram_structure(gram, metric)
         assert report.last_block_zero_base_dev is not None
         assert report.all_ok, report
+
+
+class TestGramThresholds:
+    """Each threshold of verify_gram_structure, pinned by a synthetic single_x
+    Gram that misses it by one part in 1e3 on either side."""
+
+    EPS = 1e-2
+
+    @pytest.mark.parametrize("check", ["offdiag", "center", "first", "psd", "zero_base"])
+    @pytest.mark.parametrize("factor,ok", [(1 - 1e-3, True), (1 + 1e-3, False)])
+    def test_threshold(self, single_x, check, factor, ok):
+        metric = mt.PenaltyMetric(single_x, self.EPS)
+        l, m = pauli.Hamiltonian(1, {"X": 0.4}), pauli.Hamiltonian(1, {"X": 0.7})
+        z = pauli.Hamiltonian(1, {} if check == "zero_base" else {"Z": 0.3})
+        first, last = (self.EPS * (b.T @ b)[0, 0]
+                       for b in (mt.bch_matrix(h, single_x) for h in (l, m)))
+        g = np.diag([first, 1.0, last])  # the predicted structure, exactly
+        if check == "offdiag":
+            g[0, 2] = g[2, 0] = 1e-4 * factor
+        elif check == "center":
+            g[1, 1] += 1e-5 * factor
+        elif check == "first":
+            g[0, 0] *= 1.0 + 1e-4 * factor
+        elif check == "psd":
+            g[2, 2] = -1e-8 * factor
+        else:
+            g[2, 2] += self.EPS * 1e-4 * factor
+        gram = mt.CoordinateGram(base=(l, z, m), gram=g, fd_step=1e-4, sym_residual=0.0,
+                                 check_delta=0.0, step_degenerate=False, _n_l=1, _n_z=1)
+        report = mt.verify_gram_structure(gram, metric)
+        flag = {"offdiag": report.offdiag_ok, "center": report.center_ok,
+                "first": report.first_block_ok, "psd": report.last_block_psd,
+                "zero_base": report.last_block_ok}[check]
+        assert flag == ok and report.all_ok == ok
+        assert (report.last_block_zero_base_dev is None) == (check != "zero_base")

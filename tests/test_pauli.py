@@ -112,16 +112,16 @@ class TestProjection:
     def test_basic(self):
         split = pa.builtin_split(1, "single_x")
         h = pa.Hamiltonian(1, {"X": 1.0, "Z": 1.0})
-        assert pa.project(h, split, "l").coeffs == {"X": 1.0}
-        assert pa.project(h, split, "p").coeffs == {"Z": 1.0}
+        assert h.restrict(split.l_basis).coeffs == {"X": 1.0}
+        assert h.restrict(split.p_basis).coeffs == {"Z": 1.0}
 
     def test_idempotent_and_complete(self):
         rng = np.random.default_rng(3)
         split = pa.builtin_split(2, "two_local")
         h = pa.random_hamiltonian(2, pa.pauli_strings(2), rng)
-        hl = pa.project(h, split, "l")
-        hp = pa.project(h, split, "p")
-        assert (pa.project(hl, split, "l") - hl).norm() == 0.0
+        hl = h.restrict(split.l_basis)
+        hp = h.restrict(split.p_basis)
+        assert (hl.restrict(split.l_basis) - hl).norm() == 0.0
         assert (hl + hp - h).norm() == 0.0
         assert pa.trace_inner_product(hl, hp) == 0.0
 
