@@ -45,7 +45,6 @@ from .metric import (
     PenaltyMetric,
     bch_matrix,
     bch_operator,
-    hamiltonian_cost,
     pullback_gram,
     verify_gram_structure,
 )

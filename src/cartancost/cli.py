@@ -91,7 +91,7 @@ def _resolve_split(args, dim: int | None = None) -> CartanSplit:
             raise ParseError("--n cannot be combined with --split-file")
         split = split_from_json(_load_json(args.split_file))
     else:
-        kind = args.split
+        kind = args.split or "two_local"
         if dim is not None:
             n = int(round(np.log2(dim)))
             if 2**n != dim:
@@ -207,10 +207,6 @@ def cmd_sweep(args) -> int:
     split = _resolve_split(args, dim=u.shape[0])
     if u.shape[0] > 4:
         raise PreconditionError("sweeps are supported for dimensions 2 and 4 only")
-    if u.shape[0] == 4 and not args.slow:
-        raise PreconditionError(
-            "SU(4) sweeps are opt-in; pass --slow to run one"
-        )
     try:
         epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
     except ValueError as err:
@@ -246,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_split_options(p, with_n=True):
         kind = p.add_mutually_exclusive_group()
         kind.add_argument("--split", choices=["single_x", "two_local", "ai"],
-                          default="two_local", help="built-in split kind")
+                          default=None, help="built-in split kind (default two_local)")
         kind.add_argument("--split-file", default=None,
                           help="JSON split document, in place of --split")
         if with_n:
@@ -297,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--max-iter", type=int, default=2000, dest="max_iter")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--slow", action="store_true",
-                   help="allow the (slow) four-dimensional sweep")
     p.add_argument("--csv", default=None, help="also write a CSV table here")
 
     return parser

@@ -14,6 +14,7 @@ as the optimizer's warm start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,10 @@ import scipy.optimize
 
 from .cost import CostReport, optimal_cost
 from .errors import ConvergenceFailure, PreconditionError
+from .kak import _legs
 from .linalg import frobenius_distance, hermitian_exp, is_unitary, log_special_orthogonal
-from .metric import PenaltyMetric, hamiltonian_cost
-from .pauli import CartanSplit, Hamiltonian, dense_basis
+from .metric import PenaltyMetric
+from .pauli import CartanSplit, dense_basis
 
 __all__ = [
     "ControlPath",
@@ -41,14 +43,37 @@ _ENDPOINT_TOL = 1e-4  # largest accepted endpoint distance of an optimized path
 
 @dataclass(frozen=True, eq=False)
 class ControlPath:
-    """Ordered piecewise-constant schedule; every duration is positive."""
+    """Piecewise-constant schedule: segment ``s`` applies the coefficient row
+    ``rows[s]`` over ``pauli_strings(n)`` for time ``durations[s] > 0``, later
+    segments on the left.  Both are read-only copies, with at least one segment."""
 
-    segments: tuple[tuple[Hamiltonian, float], ...]
+    rows: np.ndarray
+    durations: np.ndarray
 
     def __post_init__(self):
-        for _, dt in self.segments:
-            if dt <= 0:
-                raise PreconditionError("segment durations must be positive")
+        rows = np.array(self.rows, dtype=float)
+        durations = np.array(self.durations, dtype=float)
+        if rows.ndim != 2 or not len(rows) or durations.shape != rows.shape[:1]:
+            raise PreconditionError("need one or more coefficient rows, one duration each")
+        if rows.shape[1] not in (3, 15, 63, 255):
+            raise PreconditionError(f"row width {rows.shape[1]} is not 4**n - 1 for n = 1..4")
+        if np.any(durations <= 0):
+            raise PreconditionError("segment durations must be positive")
+        for name, value in (("rows", rows), ("durations", durations)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        """Qubit count: a row has ``4**n - 1`` entries."""
+        return (self.rows.shape[1] + 1).bit_length() // 2
+
+
+def _propagators(rows: np.ndarray, durations: np.ndarray, basis: np.ndarray):
+    """Eigenvalues, eigenvectors and propagators ``exp(-i H_s dt_s)`` of segments with
+    coefficient rows ``rows``; ``basis`` is the ``dense_basis`` stack flattened per matrix."""
+    dim = math.isqrt(rows.shape[-1] + 1)  # 4**n - 1 strings, 2**n dimensions
+    return hermitian_exp((rows @ basis).reshape(-1, dim, dim), durations)
 
 
 def _ordered_product(props: np.ndarray) -> np.ndarray:
@@ -60,29 +85,22 @@ def _ordered_product(props: np.ndarray) -> np.ndarray:
 
 def evolve(path: ControlPath) -> np.ndarray:
     """Ordered product of segment propagators, later segments on the left."""
-    if not path.segments:
-        raise PreconditionError("cannot evolve an empty path without a dimension")
-    h = np.stack([h.to_matrix() for h, _ in path.segments])
-    durations = np.array([dt for _, dt in path.segments], dtype=float)
-    return _ordered_product(hermitian_exp(h, durations)[2])
+    stack = dense_basis(path.n)[1]
+    props = _propagators(path.rows, path.durations, stack.reshape(len(stack), -1))[2]
+    return _ordered_product(props)
 
 
 def path_cost(path: ControlPath, metric: PenaltyMetric) -> float:
     """Sum of per-segment costs; exactly reparameterization invariant."""
-    return float(
-        sum(hamiltonian_cost(h, metric) * dt for h, dt in path.segments)
-    )
+    if path.n != metric.split.n:
+        raise PreconditionError("path and metric act on different qubit counts")
+    return float(metric.cost(path.rows) @ path.durations)
 
 
 def _even_sign_patterns(n: int):
     for bits in range(2 ** (n - 1)):
-        pattern = np.ones(n)
-        for k in range(n - 1):
-            if bits >> k & 1:
-                pattern[k] = -1.0
-        if int((pattern < 0).sum()) % 2 == 1:
-            pattern[-1] = -1.0
-        yield pattern
+        head = [-1.0 if bits >> k & 1 else 1.0 for k in range(n - 1)]
+        yield np.array(head + [float(np.prod(head))])  # an even count of -1
 
 
 def optimal_feasible_path(report: CostReport) -> ControlPath:
@@ -95,8 +113,6 @@ def optimal_feasible_path(report: CostReport) -> ControlPath:
     diagonal factor) is used to shrink the free legs.
     """
     factors = report.factors
-    split = factors.split
-    q = split.q
     signs = np.where(np.asarray(report.lattice_point) % 2 == 0, 1.0, -1.0)
     a_shifted = factors.a * signs[None, :]
 
@@ -109,21 +125,11 @@ def optimal_feasible_path(report: CostReport) -> ControlPath:
             best = (size, log_a, log_bt)
     _, log_a, log_bt = best
 
-    l_dense = q @ (-1j * log_a) @ q.conj().T
-    m_dense = q @ (-1j * log_bt) @ q.conj().T
-    z_dense = q @ np.diag(report.shifted_phases).astype(complex) @ q.conj().T
-    l_new = Hamiltonian.from_matrix(l_dense).restrict(split.l_basis)
-    z_new = Hamiltonian.from_matrix(z_dense).restrict(split.z_basis)
-    m_old = Hamiltonian.from_matrix(m_dense).restrict(split.l_basis)
+    l_new, z_new, m_old = _legs(factors.split, log_a, report.shifted_phases, log_bt)
     dt = 1.0 / 3.0
-    scale = -1.0 / dt
-    return ControlPath(
-        (
-            (m_old * scale, dt),   # applied first: exp(iM)
-            (z_new * scale, dt),
-            (l_new * scale, dt),   # applied last: exp(iL')
-        )
-    )
+    # exp(iM) is applied first and exp(iL') last; a segment applies exp(-i H dt)
+    rows = np.stack([m_old.vec, z_new.vec, l_new.vec]) * (-1.0 / dt)
+    return ControlPath(rows, np.full(3, dt))
 
 
 class _Objective:
@@ -134,31 +140,23 @@ class _Objective:
     """
 
     def __init__(self, target, metric: PenaltyMetric, durations):
-        split = metric.split
-        stack = dense_basis(split.n)[1]
-        k, dim = stack.shape[0], stack.shape[1]
-        self.basis = stack.reshape(k, dim * dim)
+        stack = dense_basis(metric.split.n)[1]
+        self.basis = stack.reshape(len(stack), -1)
         # tr(W P_k) for a stack of W is one product with the transposed basis
-        self.basis_t = stack.transpose(0, 2, 1).reshape(k, dim * dim).T
+        self.basis_t = stack.transpose(0, 2, 1).reshape(len(stack), -1).T
         self.durations = np.asarray(durations, dtype=float)
         self.target = target
         self.target_h = target.conj().T
-        self.dim = dim
-        self.weights = np.where(split.l_mask, metric.epsilon, 1.0)
-        self.scale = 2.0**split.n
-
-    def _segments(self, rows: np.ndarray):
-        h = (rows @ self.basis).reshape(-1, self.dim, self.dim)
-        return hermitian_exp(h, self.durations)
+        self.dim = stack.shape[-1]
+        self.metric = metric
+        # d cost / d row = grad_weights * row * dt / speed
+        self.grad_weights = 2.0**metric.split.n * metric.weights
 
     def cost(self, rows: np.ndarray) -> float:
-        return float(self._speeds(rows) @ self.durations)
-
-    def _speeds(self, rows: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.scale * ((rows * rows) @ self.weights))
+        return float(self.metric.cost(rows) @ self.durations)
 
     def endpoint(self, rows: np.ndarray) -> float:
-        u = _ordered_product(self._segments(rows)[2])
+        u = _ordered_product(_propagators(rows, self.durations, self.basis)[2])
         return frobenius_distance(u, self.target)
 
     def value_and_grad(self, rows: np.ndarray, lam: float):
@@ -172,7 +170,7 @@ class _Objective:
         tends to ``-i dt e^{-i w_a dt}``.
         """
         dts = self.durations
-        w, v, props = self._segments(rows)
+        w, v, props = _propagators(rows, dts, self.basis)
         segments = len(props)
         # prefix[s] = U_{s-1}...U_0 and suffix[s] = U_{S-1}...U_{s+1}
         prefix = [np.eye(self.dim, dtype=complex)]
@@ -196,10 +194,10 @@ class _Objective:
         endpoint_sq = 2.0 * self.dim - 2.0 * size
         endpoint_grad = -2.0 * (np.conj(unit) * d_overlap).real
 
-        speeds = self._speeds(rows)
+        speeds = self.metric.cost(rows)
         # a row at zero speed is all zeros, so its gradient is zero too
         safe = np.where(speeds > 0.0, speeds, 1.0)
-        cost_grad = self.scale * self.weights * rows * (dts / safe)[:, None]
+        cost_grad = self.grad_weights * rows * (dts / safe)[:, None]
         value = float(speeds @ dts) + lam * endpoint_sq
         return value, cost_grad + lam * endpoint_grad
 
@@ -243,22 +241,28 @@ def optimize_path(
         raise PreconditionError("need at least 3 segments")
     if restarts < 0:
         raise PreconditionError("restarts must be non-negative")
+    if max_iter < 1:
+        raise PreconditionError("max_iter must be at least 1")
+    n = metric.split.n
+    if target.shape != (2**n, 2**n):
+        raise PreconditionError(f"target shape {target.shape} does not match the split (n={n})")
     if not is_unitary(target, 1e-9):
         raise PreconditionError("target is not unitary")
-    n = metric.split.n
     durations = np.full(segments, 1.0 / segments)
     obj = _Objective(target, metric, durations)
     rng = np.random.default_rng(seed)
 
     starts = []
     for path in init_paths:
-        rows = np.zeros((segments, 4**n - 1))
-        if len(path.segments) > segments:
+        if path.n != n:
+            raise PreconditionError("init path acts on another qubit count than the split")
+        k = len(path.durations)
+        if k > segments:
             raise PreconditionError("init path has more segments than requested")
         # place the init legs on an equal-duration grid, rescaling each
         # generator so the per-leg propagator is unchanged
-        for i, (h, dt) in enumerate(path.segments):
-            rows[i] = h.vec * (dt / durations[i])
+        rows = np.zeros((segments, 4**n - 1))
+        rows[:k] = path.rows * (path.durations / durations[:k])[:, None]
         starts.append(rows)
     for _ in range(restarts):
         starts.append(rng.standard_normal((segments, 4**n - 1)) * 0.4)
@@ -282,8 +286,7 @@ def optimize_path(
         raise ConvergenceFailure(
             "endpoint residual did not reach tolerance", residual=value
         )
-    segs = tuple((Hamiltonian(n, row), float(dt)) for row, dt in zip(best_rows, durations))
-    return ControlPath(segs), float(obj.cost(best_rows))
+    return ControlPath(best_rows, durations), float(obj.cost(best_rows))
 
 
 @dataclass(eq=False)
@@ -327,9 +330,8 @@ def epsilon_sweep(
     report = optimal_cost(target, split)
     analytic = report.cost
     feasible = optimal_feasible_path(report)
-    free_norm = sum(
-        h.norm() * dt for h, dt in (feasible.segments[0], feasible.segments[2])
-    )
+    # at eps = 1 the form is the trace norm: |L'| + |M| of the free legs
+    free_norm = PenaltyMetric(split, 1.0).cost(feasible.rows[::2]) @ feasible.durations[::2]
 
     numeric = np.full(len(eps), np.nan)
     residuals = np.full(len(eps), np.nan)

@@ -152,15 +152,19 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
         b[:, 0] = -b[:, 0]
     d = np.diag(np.exp(1j * z_vec))
 
-    l_dense = q @ (-1j * log_special_orthogonal(a)) @ q.conj().T
-    m_dense = q @ (-1j * log_special_orthogonal(b.T)) @ q.conj().T
-    z_dense = q @ np.diag(z_vec).astype(complex) @ q.conj().T
+    l, z, m = _legs(split, log_special_orthogonal(a), z_vec, log_special_orthogonal(b.T))
+    return KakFactors(l=l, z=z, m=m, a=a, d=d, b=b, split=split, removed_phase=removed)
 
-    factors = {}
+
+def _legs(split: CartanSplit, log_a, phases, log_bt):
+    """Hamiltonians (l, z, m) of the frame factors exp(log_a), diag(exp(i phases))
+    and exp(log_bt), each restricted to its basis; a leak raises NumericalFailure."""
+    q = split.q
+    legs = []
     for name, dense, basis in (
-        ("l", l_dense, split.l_basis),
-        ("z", z_dense, split.z_basis),
-        ("m", m_dense, split.l_basis),
+        ("l", q @ (-1j * log_a) @ q.conj().T, split.l_basis),
+        ("z", q @ np.diag(phases).astype(complex) @ q.conj().T, split.z_basis),
+        ("m", q @ (-1j * log_bt) @ q.conj().T, split.l_basis),
     ):
         h = Hamiltonian.from_matrix(dense)
         leak = support_residual(h, basis)
@@ -168,12 +172,8 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
             raise NumericalFailure(
                 f"factor {name} leaks outside its subspace", residual=leak
             )
-        factors[name] = h.restrict(basis)
-
-    return KakFactors(
-        l=factors["l"], z=factors["z"], m=factors["m"],
-        a=a, d=d, b=b, split=split, removed_phase=removed,
-    )
+        legs.append(h.restrict(basis))
+    return tuple(legs)
 
 
 def reconstruct(f: KakFactors) -> np.ndarray:

@@ -18,6 +18,7 @@ and the BCH series runs once over the stack of all l strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,12 +31,10 @@ from .pauli import (
     dense_basis,
     hermitian_coefficients,
     support_residual,
-    trace_inner_product,
 )
 
 __all__ = [
     "PenaltyMetric",
-    "hamiltonian_cost",
     "bch_operator",
     "bch_matrix",
     "CoordinateGram",
@@ -56,21 +55,21 @@ class PenaltyMetric:
         if not 0.0 < self.epsilon <= 1.0:
             raise PreconditionError("epsilon must lie in (0, 1]")
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only weight of each of ``pauli_strings(n)`` in the form: eps on l, else 1."""
+        w = np.where(self.split.l_mask, self.epsilon, 1.0)
+        w.setflags(write=False)
+        return w
 
-def hamiltonian_cost(h: Hamiltonian, metric: PenaltyMetric) -> float:
-    """sqrt(eps * |P_l H|^2 + |P_p H|^2) in the trace inner product.
+    def cost(self, rows: np.ndarray):
+        """sqrt(eps * |P_l H|^2 + |P_p H|^2) in the trace inner product, for
+        one coefficient row over ``pauli_strings(n)`` or each row of a stack.
 
-    Independent of the base unitary (the cost form is right-invariant) and
-    exactly homogeneous: C(a*H) = |a| * C(H).
-    """
-    hl = h.restrict(metric.split.l_basis)
-    hp = h.restrict(metric.split.p_basis)
-    return float(
-        np.sqrt(
-            metric.epsilon * trace_inner_product(hl, hl)
-            + trace_inner_product(hp, hp)
-        )
-    )
+        Independent of the base unitary (the cost form is right-invariant) and
+        exactly homogeneous: C(a*H) = |a| * C(H).
+        """
+        return np.sqrt(2.0**self.split.n * ((rows * rows) @ self.weights))
 
 
 def _bch_series(l: Hamiltonian, p: np.ndarray, terms: int) -> np.ndarray:
@@ -161,8 +160,7 @@ def _fd_grams(base, metric: PenaltyMetric, steps: np.ndarray) -> np.ndarray:
     # the penalty form weighs l by eps
     t_flat = t.swapaxes(-1, -2).reshape(len(steps), -1, dim * dim)
     rows = (t_flat @ stack.reshape(len(stack), -1).T).real / dim
-    w = np.where(split.l_mask, metric.epsilon, 1.0)
-    return dim * (rows * w) @ rows.swapaxes(-1, -2)
+    return dim * (rows * metric.weights) @ rows.swapaxes(-1, -2)
 
 
 def pullback_gram(base, metric: PenaltyMetric, fd_step: float = 1e-4) -> CoordinateGram:

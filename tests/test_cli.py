@@ -246,6 +246,21 @@ class TestSplitFileExclusive:
         assert code == 2
         assert out == "" and "--n cannot be combined with --split-file" in err
 
+    @pytest.mark.parametrize("command", ["decompose", "cost", "sweep", "verify-split",
+                                         "verify-metric"])
+    def test_default_kind_is_still_given(self, tmp_path, capsys, command):
+        # "two_local" here is the same interned string as a default of
+        # "two_local" would be, which argparse would then take as not given
+        args = [command, "--split-file", self.two_local_file(tmp_path), "--split", "two_local"]
+        if command in ("decompose", "cost", "sweep"):
+            args.insert(1, write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3)))
+        with pytest.raises(SystemExit) as stop:
+            main(args)
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --split: not allowed with argument --split-file" in captured.err
+
 
 class TestVerifyMetric:
     def test_default_arguments_pass(self, capsys):
@@ -307,11 +322,27 @@ class TestSweep:
         assert code == 3
         assert out == "" and "restarts" in err
 
-    def test_su4_requires_slow(self, tmp_path, capsys):
-        path = write_matrix(tmp_path, "u4.json", la.haar_random_special_unitary(4, 1))
-        code, _, err = run_main(capsys, "sweep", path, "--split", "two_local")
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_iteration_floor(self, tmp_path, capsys, max_iter):
+        path = write_matrix(tmp_path, "z.json", la.expm(-1j * 0.4 * pauli.pauli_matrix("Z")))
+        code, out, err = run_main(
+            capsys, "sweep", path, "--split", "single_x", "--max-iter", max_iter
+        )
         assert code == 3
-        assert "--slow" in err
+        assert out == "" and "max_iter must be at least 1" in err
+
+    def test_su4_sweep(self, tmp_path, capsys):
+        # `cartancost random --n 2 --seed 4`, swept with the default options
+        path = write_matrix(tmp_path, "u4.json", la.haar_random_special_unitary(4, 4))
+        code, out, _ = run_main(capsys, "sweep", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["rows"]) == 3
+        assert all(row["converged"] and row["within_bounds"] for row in doc["rows"])
+        path = write_matrix(tmp_path, "u8.json", la.haar_random_special_unitary(8, 7))
+        code, out, err = run_main(capsys, "sweep", path, "--split", "ai")
+        assert code == 3
+        assert out == "" and "dimensions 2 and 4 only" in err
 
 
 class TestRandom:
@@ -427,4 +458,4 @@ class TestInProcessReuse:
         second = parser.parse_args(["verify-split"])
         assert first is not second
         assert (second.output, second.split, second.split_file, second.n) == (
-            "-", "two_local", None, None)
+            "-", None, None, None)

@@ -15,56 +15,172 @@ def single_x():
 class TestEvolve:
     def test_single_segment(self):
         h = pauli.Hamiltonian(1, {"Z": 1.0})
-        path = ct.ControlPath(((h, 0.7),))
+        path = ct.ControlPath([h.vec], [0.7])
         assert np.allclose(ct.evolve(path), la.expm(-1j * 0.7 * h.to_matrix()))
 
     def test_segment_splitting(self):
         h = pauli.Hamiltonian(1, {"X": 0.4, "Y": -0.9})
-        whole = ct.ControlPath(((h, 0.8),))
-        halves = ct.ControlPath(((h, 0.4), (h, 0.4)))
+        whole = ct.ControlPath([h.vec], [0.8])
+        halves = ct.ControlPath([h.vec, h.vec], [0.4, 0.4])
         assert np.linalg.norm(ct.evolve(whole) - ct.evolve(halves)) < 1e-12
 
     def test_later_segments_on_left(self):
         a = pauli.Hamiltonian(1, {"X": 1.0})
         b = pauli.Hamiltonian(1, {"Z": 1.0})
-        path = ct.ControlPath(((a, 0.5), (b, 0.5)))
+        path = ct.ControlPath([a.vec, b.vec], [0.5, 0.5])
         want = la.expm(-0.5j * b.to_matrix()) @ la.expm(-0.5j * a.to_matrix())
         assert np.allclose(ct.evolve(path), want)
 
     def test_special_unitary_output(self):
         rng = np.random.default_rng(0)
-        segs = tuple(
-            (pauli.random_hamiltonian(1, pauli.pauli_strings(1), rng), 0.3)
-            for _ in range(4)
-        )
-        u = ct.evolve(ct.ControlPath(segs))
+        rows = [pauli.random_hamiltonian(1, pauli.pauli_strings(1), rng).vec for _ in range(4)]
+        u = ct.evolve(ct.ControlPath(rows, np.full(4, 0.3)))
         assert la.is_unitary(u, 1e-9) and abs(np.linalg.det(u) - 1) <= 1e-9
 
     def test_positive_durations_required(self):
         h = pauli.Hamiltonian(1, {"Z": 1.0})
-        with pytest.raises(PreconditionError):
-            ct.ControlPath(((h, 0.0),))
+        for dt in (0.0, -0.5):
+            with pytest.raises(PreconditionError, match="positive"):
+                ct.ControlPath([h.vec], [dt])
+
+
+class TestControlPath:
+    @pytest.mark.parametrize("rows,durations,message", [
+        (np.zeros((2, 3)), [0.5], "one duration each"),
+        (np.zeros((1, 3)), [[0.5]], "one duration each"),
+        (np.zeros(3), [0.5], "one duration each"),
+        (np.zeros((0, 3)), [], "one or more coefficient rows"),
+        (np.zeros((1, 4)), [0.5], "is not 4\\*\\*n - 1"),
+        (np.zeros((1, 1023)), [0.5], "is not 4\\*\\*n - 1"),
+    ], ids=["rows-without-duration", "nested-durations", "one-dim-rows", "no-segments",
+            "width-4", "width-1023"])
+    def test_malformed_paths_refused(self, rows, durations, message):
+        with pytest.raises(PreconditionError, match=message):
+            ct.ControlPath(rows, durations)
+
+    def test_read_only_copies(self):
+        rows, durations = np.ones((2, 15)), np.full(2, 0.5)
+        path = ct.ControlPath(rows, durations)
+        rows[0, 0] = durations[0] = 7.0
+        assert path.rows[0, 0] == 1.0 and path.durations[0] == 0.5
+        assert path.n == 2
+        with pytest.raises(ValueError):
+            path.rows[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            path.durations[0] = 2.0
+
+
+def _ref_even_sign_patterns(n):
+    for bits in range(2 ** (n - 1)):
+        pattern = np.ones(n)
+        for k in range(n - 1):
+            if bits >> k & 1:
+                pattern[k] = -1.0
+        if int((pattern < 0).sum()) % 2 == 1:
+            pattern[-1] = -1.0
+        yield pattern
+
+
+def _ref_optimal_feasible_path(report):
+    """The three rows of the feasible path as the sign-pattern loop built
+    them when the path was a tuple of (Hamiltonian, dt) segments."""
+    factors = report.factors
+    split = factors.split
+    q = split.q
+    signs = np.where(np.asarray(report.lattice_point) % 2 == 0, 1.0, -1.0)
+    a_shifted = factors.a * signs[None, :]
+
+    best = None
+    for pattern in _ref_even_sign_patterns(a_shifted.shape[0]):
+        log_a = la.log_special_orthogonal(a_shifted * pattern[None, :])
+        log_bt = la.log_special_orthogonal((factors.b * pattern[None, :]).T)
+        size = np.linalg.norm(log_a) + np.linalg.norm(log_bt)
+        if best is None or size < best[0]:
+            best = (size, log_a, log_bt)
+    _, log_a, log_bt = best
+
+    l_dense = q @ (-1j * log_a) @ q.conj().T
+    m_dense = q @ (-1j * log_bt) @ q.conj().T
+    z_dense = q @ np.diag(report.shifted_phases).astype(complex) @ q.conj().T
+    l_new = pauli.Hamiltonian.from_matrix(l_dense).restrict(split.l_basis)
+    z_new = pauli.Hamiltonian.from_matrix(z_dense).restrict(split.z_basis)
+    m_old = pauli.Hamiltonian.from_matrix(m_dense).restrict(split.l_basis)
+    dt = 1.0 / 3.0
+    scale = -1.0 / dt
+    return np.stack([(m_old * scale).vec, (z_new * scale).vec, (l_new * scale).vec])
+
+
+class TestOneArithmetic:
+    """The path cost, the propagators and the feasible path each have one
+    implementation, which the optimizer shares."""
+
+    @staticmethod
+    def cases():
+        single_x = pauli.builtin_split(1, "single_x")
+        # the feasible path of `cartancost random --n 1 --seed 2` at eps = 1e-3:
+        # summing per-segment costs one at a time gave another last bit here
+        u = la.haar_random_special_unitary(2, 2)
+        feasible = ct.optimal_feasible_path(cost.optimal_cost(u, single_x))
+        yield u, mt.PenaltyMetric(single_x, 1e-3), feasible.rows, feasible.durations
+        rng = np.random.default_rng(5)
+        for kind, n in (("single_x", 1), ("two_local", 2), ("ai", 3)):
+            split = pauli.builtin_split(n, kind)
+            u = la.haar_random_special_unitary(2**n, 20 + n)
+            for segments in (3, 5):
+                rows = rng.standard_normal((segments, 4**n - 1)) * 0.7
+                yield u, mt.PenaltyMetric(split, 0.05), rows, np.full(segments, 1.0 / segments)
+
+    def test_path_cost_is_objective_cost(self):
+        for u, metric, rows, durations in self.cases():
+            obj = ct._Objective(u, metric, durations)
+            assert ct.path_cost(ct.ControlPath(rows, durations), metric) == obj.cost(rows)
+
+    def test_evolve_is_objective_endpoint_product(self):
+        for u, metric, rows, durations in self.cases():
+            obj = ct._Objective(u, metric, durations)
+            want = ct._ordered_product(ct._propagators(rows, durations, obj.basis)[2])
+            assert np.array_equal(ct.evolve(ct.ControlPath(rows, durations)), want)
+            assert obj.endpoint(rows) == la.frobenius_distance(want, u)
+
+    def test_sign_patterns_match_reference(self):
+        for n in (1, 2, 3, 4, 5, 8, 16):
+            got, want = list(ct._even_sign_patterns(n)), list(_ref_even_sign_patterns(n))
+            assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
+    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2)])
+    def test_feasible_rows_match_reference(self, kind, n):
+        split = pauli.builtin_split(n, kind)
+        for seed in range(6):
+            report = cost.optimal_cost(la.haar_random_special_unitary(2**n, 300 + seed), split)
+            path = ct.optimal_feasible_path(report)
+            assert np.array_equal(path.rows, _ref_optimal_feasible_path(report))
+            assert np.array_equal(path.durations, np.full(3, 1.0 / 3.0))
 
 
 class TestPathCost:
     def test_expensive_unit_segment(self, single_x):
         metric = mt.PenaltyMetric(single_x, 1e-2)
         h = pauli.Hamiltonian(1, {"Z": 1.0 / np.sqrt(2)})  # unit trace norm
-        assert abs(ct.path_cost(ct.ControlPath(((h, 0.6),)), metric) - 0.6) < 1e-12
+        assert abs(ct.path_cost(ct.ControlPath([h.vec], [0.6]), metric) - 0.6) < 1e-12
 
     def test_free_segment(self, single_x):
         metric = mt.PenaltyMetric(single_x, 1e-2)
         h = pauli.Hamiltonian(1, {"X": 1.0})
         want = np.sqrt(1e-2) * h.norm() * 0.5
-        assert abs(ct.path_cost(ct.ControlPath(((h, 0.5),)), metric) - want) < 1e-12
+        assert abs(ct.path_cost(ct.ControlPath([h.vec], [0.5]), metric) - want) < 1e-12
 
     def test_reparameterization_invariance(self, single_x):
         metric = mt.PenaltyMetric(single_x, 0.3)
         rng = np.random.default_rng(1)
         h = pauli.random_hamiltonian(1, pauli.pauli_strings(1), rng)
-        c1 = ct.path_cost(ct.ControlPath(((h, 0.9),)), metric)
-        c2 = ct.path_cost(ct.ControlPath(((h * 3.0, 0.3),)), metric)
+        c1 = ct.path_cost(ct.ControlPath([h.vec], [0.9]), metric)
+        c2 = ct.path_cost(ct.ControlPath([3.0 * h.vec], [0.3]), metric)
         assert abs(c1 - c2) < 1e-12
+
+    def test_qubit_count_must_match(self, single_x):
+        path = ct.ControlPath(np.ones((1, 15)), [1.0])
+        with pytest.raises(PreconditionError, match="qubit counts"):
+            ct.path_cost(path, mt.PenaltyMetric(single_x, 0.1))
 
 
 class TestFeasiblePath:
@@ -84,8 +200,8 @@ class TestFeasiblePath:
         u = la.haar_random_special_unitary(2, 77)
         report = cost.optimal_cost(u, single_x)
         path = ct.optimal_feasible_path(report)
-        h_mid, dt_mid = path.segments[1]
-        assert abs(h_mid.norm() * dt_mid - report.cost) < 1e-10
+        h_mid = pauli.Hamiltonian(1, path.rows[1])
+        assert abs(h_mid.norm() * path.durations[1] - report.cost) < 1e-10
 
 
 class TestOptimizePath:
@@ -110,6 +226,32 @@ class TestOptimizePath:
     def test_segment_floor(self, single_x):
         with pytest.raises(PreconditionError):
             ct.optimize_path(np.eye(2, dtype=complex), mt.PenaltyMetric(single_x, 0.1), segments=2)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_iteration_floor(self, single_x, max_iter):
+        with pytest.raises(PreconditionError, match="max_iter"):
+            ct.optimize_path(np.eye(2, dtype=complex), mt.PenaltyMetric(single_x, 0.1),
+                             max_iter=max_iter)
+
+    def test_target_dimension_must_match_split(self, single_x):
+        with pytest.raises(PreconditionError, match="does not match the split"):
+            ct.optimize_path(np.eye(4, dtype=complex), mt.PenaltyMetric(single_x, 0.1))
+
+    def test_init_path_qubit_count_must_match(self, single_x):
+        two_local = pauli.builtin_split(2, "two_local")
+        report = cost.optimal_cost(la.haar_random_special_unitary(4, 3), two_local)
+        with pytest.raises(PreconditionError, match="qubit count"):
+            ct.optimize_path(np.eye(2, dtype=complex), mt.PenaltyMetric(single_x, 0.1),
+                             init_paths=(ct.optimal_feasible_path(report),))
+
+    def test_result_is_the_reported_cost(self, single_x):
+        u = la.haar_random_special_unitary(2, 8)
+        metric = mt.PenaltyMetric(single_x, 1e-2)
+        path, value = ct.optimize_path(u, metric, segments=4, restarts=1, seed=0)
+        assert path.rows.shape == (4, 3)
+        assert np.array_equal(path.durations, np.full(4, 0.25))
+        assert ct.path_cost(path, metric) == value
+        assert la.frobenius_distance(ct.evolve(path), u) <= ct._ENDPOINT_TOL
 
 
 class TestObjectiveGradient:

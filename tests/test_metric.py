@@ -69,31 +69,65 @@ def random_base(split, rng, norms=(0.8, 0.8, 0.8)):
     )
 
 
+def _ref_hamiltonian_cost(h, metric):
+    """sqrt(eps * |P_l H|^2 + |P_p H|^2) by restriction and the trace inner
+    product: the per-Hamiltonian form that ``PenaltyMetric.cost`` replaced."""
+    hl = h.restrict(metric.split.l_basis)
+    hp = h.restrict(metric.split.p_basis)
+    return float(
+        np.sqrt(
+            metric.epsilon * pauli.trace_inner_product(hl, hl)
+            + pauli.trace_inner_product(hp, hp)
+        )
+    )
+
+
 class TestHamiltonianCost:
     def test_free_direction(self, single_x):
         m = mt.PenaltyMetric(single_x, 0.01)
         h = pauli.Hamiltonian(1, {"X": 1.0})
-        assert abs(mt.hamiltonian_cost(h, m) - np.sqrt(0.01) * h.norm()) < 1e-14
+        assert abs(m.cost(h.vec) - np.sqrt(0.01) * h.norm()) < 1e-14
 
     def test_expensive_direction(self, single_x):
         m = mt.PenaltyMetric(single_x, 0.01)
         h = pauli.Hamiltonian(1, {"Z": 0.7})
-        assert abs(mt.hamiltonian_cost(h, m) - h.norm()) < 1e-14
+        assert abs(m.cost(h.vec) - h.norm()) < 1e-14
 
     def test_mixed_arithmetic(self, single_x):
         m = mt.PenaltyMetric(single_x, 0.01)
         h = pauli.Hamiltonian(1, {"X": 1.0, "Z": 1.0})
-        assert abs(mt.hamiltonian_cost(h, m) - np.sqrt(0.01 * 2 + 2)) < 1e-14
+        assert abs(m.cost(h.vec) - np.sqrt(0.01 * 2 + 2)) < 1e-14
 
     def test_homogeneous(self, single_x):
         m = mt.PenaltyMetric(single_x, 0.3)
         rng = np.random.default_rng(0)
         h = pauli.random_hamiltonian(1, pauli.pauli_strings(1), rng)
-        assert abs(mt.hamiltonian_cost(2.5 * h, m) - 2.5 * mt.hamiltonian_cost(h, m)) < 1e-12
+        assert abs(m.cost(2.5 * h.vec) - 2.5 * m.cost(h.vec)) < 1e-12
 
     def test_epsilon_validated(self, single_x):
         with pytest.raises(PreconditionError):
             mt.PenaltyMetric(single_x, 0.0)
+
+    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 1),
+                                        ("ai", 2), ("ai", 3), ("ai", 4)])
+    def test_matches_restricted_trace_form(self, kind, n):
+        split = pauli.builtin_split(n, kind)
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((40, 4**n - 1)) * rng.uniform(0.01, 10.0, (40, 1))
+        for eps in (1.0, 0.3, 1e-3):
+            m = mt.PenaltyMetric(split, eps)
+            stacked = m.cost(rows)
+            for row, got in zip(rows, stacked):
+                want = _ref_hamiltonian_cost(pauli.Hamiltonian(n, row), m)
+                for value in (got, m.cost(row)):
+                    assert abs(value - want) <= 4 * np.finfo(float).eps * want
+
+    def test_weights_cached_and_read_only(self, two_local):
+        m = mt.PenaltyMetric(two_local, 0.2)
+        assert m.weights is m.weights
+        assert np.array_equal(m.weights, np.where(two_local.l_mask, 0.2, 1.0))
+        with pytest.raises(ValueError):
+            m.weights[0] = 1.0
 
 
 class TestBchOperator:
