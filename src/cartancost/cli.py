@@ -223,8 +223,6 @@ def cmd_sweep(args) -> int:
     _write_text(args.output, dumps_canonical(sweep_to_json(result)))
     if args.csv:
         _write_text(args.csv, sweep_to_csv(result))
-    if not np.all(result.converged):
-        return EXIT_NONCONVERGENCE
     return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
 
 

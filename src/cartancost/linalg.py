@@ -49,16 +49,10 @@ def hermitian_exp(h, t=None):
     """Eigenvalues ``w``, eigenvectors ``v`` and ``exp(-i h t)`` of a
     Hermitian matrix or of each member of a ``(..., N, N)`` stack, from one
     eigendecomposition; times ``t`` broadcast over the stack (None: t = 1).
-    Raises if the anti-Hermitian gap ``|h - h^+|_F * t`` of any exponent
-    ``-i h t`` exceeds 1e-10.
+    Only the lower triangle of ``h`` is read, as by ``numpy.linalg.eigh``, so
+    ``h`` must be Hermitian; :func:`expm` checks a matrix from elsewhere.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise PreconditionError(f"expected square matrices, got shape {h.shape}")
     times = 1.0 if t is None else np.asarray(t, dtype=float)
-    gap = np.linalg.norm(h - h.swapaxes(-1, -2).conj(), axis=(-2, -1) if h.ndim > 2 else None)
-    if (gap * times > 1e-10).any():
-        raise PreconditionError("the exponent is not anti-Hermitian")
     # h = v diag(w) v^+, so e^{-i h t} = v diag(e^{-i w t}) v^+
     w, v = np.linalg.eigh(h)
     del h  # a stack of exponents can be large: free it before the products
@@ -69,8 +63,16 @@ def hermitian_exp(h, t=None):
 def expm(x) -> np.ndarray:
     """Exponential of an anti-Hermitian matrix, or of each member of a
     ``(..., N, N)`` stack: :func:`hermitian_exp` at ``h = i*x``.  Exact (to
-    rounding) for these normal inputs; the result is unitary."""
-    return hermitian_exp(1j * np.asarray(x, dtype=complex))[2]
+    rounding) for these normal inputs; the result is unitary.  Raises if a
+    member is not square or its anti-Hermitian gap ``|x + x^+|_F`` exceeds 1e-10.
+    """
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise PreconditionError(f"expected square matrices, got shape {x.shape}")
+    gap = np.linalg.norm(x + x.swapaxes(-1, -2).conj(), axis=(-2, -1) if x.ndim > 2 else None)
+    if (gap > 1e-10).any():
+        raise PreconditionError("the exponent is not anti-Hermitian")
+    return hermitian_exp(1j * x)[2]
 
 
 def frobenius_distance(u, v) -> float:

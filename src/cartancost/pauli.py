@@ -290,9 +290,9 @@ def support_residual(h: Hamiltonian, strings) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CartanSplit:
-    """A split su(2**n) = span(l) + span(p) with its :func:`involution` ``theta``
-    (None if there is none), the maximal commuting subspace ``z_basis`` of p,
-    and the adapted frame ``q``, conjugation by which diagonalizes z and realifies exp(i*l)."""
+    """A split su(2**n) = span(l) + span(p) with the maximal commuting subspace
+    ``z_basis`` of p and the adapted frame ``q``, conjugation by which
+    diagonalizes z and realifies exp(i*l)."""
 
     n: int
     l_basis: tuple[str, ...]
@@ -300,7 +300,11 @@ class CartanSplit:
     z_basis: tuple[str, ...]
     q: np.ndarray = field(repr=False)
     kind: str = "custom"
-    theta: tuple[str, bool] | None = None
+
+    @cached_property
+    def theta(self) -> tuple[str, bool] | None:
+        """The :func:`involution` of the l and p lists, None if there is none."""
+        return involution(self.n, self.l_basis, self.p_basis)
 
     @property
     def type(self) -> str | None:
@@ -400,9 +404,11 @@ def _involution_bases(n: int, t: str) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(itertools.compress(pauli_strings(n), m)) for m in (in_l, ~in_l, diagonal))
 
 
+@lru_cache(maxsize=None)
 def builtin_split(n: int, kind: str) -> CartanSplit:
     """The built-in splits, each the eigenspace split of an outer involution
     theta(P) = -T P^T T^+ with a symmetric T, of type AI (see :func:`involution`).
+    Each is built once and shared, with a read-only frame ``q``.
 
     ``single_x``  n=1, T = Z: l = span(X), so magnetic fields along x are free.
     ``two_local`` n=2, T = YY: l = all one-qubit strings, so local operations
@@ -427,7 +433,8 @@ def builtin_split(n: int, kind: str) -> CartanSplit:
     else:
         raise PreconditionError(f"unknown split kind {kind!r}")
     l, p, diagonal = _involution_bases(n, t)
-    return CartanSplit(n, l, p, diagonal if z is None else z, q, kind, (t, False))
+    q.setflags(write=False)
+    return CartanSplit(n, l, p, diagonal if z is None else z, q, kind)
 
 
 def verify_maximal_abelian(split: CartanSplit) -> bool:

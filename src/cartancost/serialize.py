@@ -10,6 +10,7 @@ optional embedded frame matrix "Q".
 
 from __future__ import annotations
 
+import itertools
 import math
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -18,7 +19,7 @@ import numpy as np
 from .control import SweepResult
 from .cost import CostReport
 from .kak import KakFactors
-from .pauli import CartanSplit, Hamiltonian, involution
+from .pauli import CartanSplit, Hamiltonian
 
 __all__ = [
     "ParseError",
@@ -115,7 +116,7 @@ def matrix_from_json(doc) -> np.ndarray:
         dim = doc["dim"]
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
-    except (TypeError, KeyError, ValueError) as err:
+    except (TypeError, KeyError, ValueError, OverflowError) as err:
         raise ParseError(f"bad matrix document: {err}") from err
     if type(dim) is not int:  # refuse bool (an int subclass), float and str
         raise ParseError(f"matrix dim must be a JSON integer, got {dim!r}")
@@ -123,6 +124,9 @@ def matrix_from_json(doc) -> np.ndarray:
         raise ParseError(
             f"matrix entries have shape {re.shape}/{im.shape}, expected ({dim}, {dim})"
         )
+    # NumPy would also take "1", true and null (as 1.0, 1.0 and NaN)
+    if not set(map(type, itertools.chain(*doc["re"], *doc["im"]))) <= {int, float}:
+        raise ParseError("matrix entries must be JSON numbers, not strings, booleans or null")
     return re + 1j * im
 
 
@@ -157,7 +161,7 @@ def split_from_json(doc) -> CartanSplit:
     q = matrix_from_json(doc["Q"]) if "Q" in doc else np.eye(2**n, dtype=complex)
     if q.shape != (2**n, 2**n):
         raise ParseError("frame matrix dimension does not match the strings")
-    return CartanSplit(n, l, p, z, q, theta=involution(n, l, p))
+    return CartanSplit(n, l, p, z, q)
 
 
 def factors_to_json(f: KakFactors, residual: float | None = None) -> dict:

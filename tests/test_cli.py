@@ -65,6 +65,25 @@ class TestDecompose:
         assert code == 2
         assert "integer" in err
 
+    @pytest.mark.parametrize("command", ["decompose", "cost"])
+    @pytest.mark.parametrize("part,entries,message", [
+        ("re", [["1", 0], [0, 1]], "JSON numbers"),
+        ("re", [[True, 0], [0, True]], "JSON numbers"),
+        ("re", [[None, 0], [0, 1]], "JSON numbers"),
+        ("re", [["nan", 0], [0, 1]], "JSON numbers"),
+        ("im", [[0, 0], [0, None]], "JSON numbers"),
+        ("re", [[10**400, 0], [0, 1]], "too large"),
+    ], ids=["string", "boolean", "null", "string-nan", "null-im", "huge-integer"])
+    def test_entries_must_be_numbers(self, tmp_path, capsys, command, part, entries, message):
+        # NumPy converts the first five; without the check "1" and true priced the identity
+        path = tmp_path / "id.json"
+        doc = {"dim": 2, "re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}
+        doc[part] = entries
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, command, str(path), "--split", "ai")
+        assert code == 2
+        assert out == "" and message in err
+
     @pytest.mark.parametrize("command", ["decompose", "cost", "sweep"])
     def test_no_qubit_count_option(self, tmp_path, capsys, command):
         # the matrix fixes n; an --n that would be ignored is a parse error
@@ -377,6 +396,27 @@ class TestRandom:
         assert code == 3
         assert out == "" and f"--n must lie in 1..4, got {n}" in err
         assert not out_path.exists()
+
+
+class TestExitMapping:
+    """main maps the numerical and optimizer failures of any command to exits 4 and 5."""
+
+    @pytest.mark.parametrize("error,code", [
+        ("NumericalFailure", 4), ("ConvergenceFailure", 5),
+    ])
+    def test_failure_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
+        from cartancost import cli, errors
+
+        failure = getattr(errors, error)("injected failure", residual=0.5)
+
+        def failing(args):
+            raise failure
+
+        monkeypatch.setattr(cli, "cmd_cost", failing)
+        path = write_matrix(tmp_path, "id.json", np.eye(2))
+        got, out, err = run_main(capsys, "cost", path, "--split", "single_x")
+        assert got == code
+        assert out == "" and err == f"error: {failure}\n"
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from cartancost import cost, lattice, pauli
 from cartancost import linalg as la
+from cartancost.errors import PreconditionError
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,27 @@ class TestOptimalCost:
             k = pauli.random_hamiltonian(2, two_local.l_basis, rng, norm=rng.uniform(0.2, 2.0))
             u = la.expm(1j * k.to_matrix())
             assert cost.optimal_cost(u, two_local).cost < 1e-8
+
+
+class TestDirectSplit:
+    """A split built from its lists derives its involution from them."""
+
+    def test_priced_like_builtin(self, two_local):
+        direct = pauli.CartanSplit(2, two_local.l_basis, two_local.p_basis, two_local.z_basis,
+                                   np.array(two_local.q))
+        assert direct.theta == ("YY", False) and direct.type == "AI"
+        for seed in range(3):
+            u = la.haar_random_special_unitary(4, 40 + seed)
+            got, want = cost.optimal_cost(u, direct), cost.optimal_cost(u, two_local)
+            assert got.cost == want.cost
+            assert np.array_equal(got.lattice_point, want.lattice_point)
+
+    def test_swapped_strings_refused(self, two_local):
+        l, p = list(two_local.l_basis), list(two_local.p_basis)
+        l[0], p[0] = p[0], l[0]
+        swapped = pauli.CartanSplit(2, tuple(l), tuple(p), two_local.z_basis, two_local.q)
+        with pytest.raises(PreconditionError, match="not a Cartan split"):
+            cost.optimal_cost(la.haar_random_special_unitary(4, 5), swapped)
 
 
 class TestSingleQubit:

@@ -292,6 +292,14 @@ class TestSplits:
         report = pa.verify_cartan_split(bad)
         assert not report.all_ok
         assert ("[l,l]", "X", "Y", "Z") in report.violations
+        assert bad.theta is None and bad.type is None
+
+    @pytest.mark.parametrize("n,kind", BUILTIN)
+    def test_builtin_splits_shared_and_read_only(self, n, kind):
+        split = pa.builtin_split(n, kind)
+        assert pa.builtin_split(n, kind) is split
+        with pytest.raises(ValueError):
+            split.q[0, 0] = 0.0
 
     def test_empty_z_is_not_maximal(self):
         split = pa.builtin_split(2, "two_local")
@@ -324,8 +332,8 @@ class TestSplits:
         aii = pa._involution_bases(2, "YI")[:2]
         for (l, p), theta, kind in ((aiii, ("ZI", True), "AIII"), (aii, ("YI", False), "AII")):
             assert pa.involution(2, l, p) == theta
-            split = pa.CartanSplit(2, tuple(l), tuple(p), (), np.eye(4), theta=theta)
-            assert split.type == kind
+            split = pa.CartanSplit(2, tuple(l), tuple(p), (), np.eye(4))
+            assert split.theta == theta and split.type == kind
         # theta = id, at n=1 also the outer T = Y, splits off no p
         for n in (1, 2):
             assert pa.involution(n, pa.pauli_strings(n), ()) is None

@@ -6,18 +6,24 @@ Runs each call in-process through ``cartancost.cli.main``, importing the
 package from this checkout's ``src``: ``random --n 1..4``, then ``decompose``
 and ``cost`` on every built-in split family, then ``single_x`` and SU(4)
 sweeps with ``--csv``, then ``verify-split`` and ``verify-metric --json-out``
-on every built-in split.  Call ``k`` runs in ``OUTDIR/NNN`` (``k`` as three
-digits), writes its output files there and leaves ``argv``, ``exit``,
-``stdout`` and ``stderr`` beside them; the ``random`` calls write the input
-matrices ``OUTDIR/u<n>_<seed>.json``.  Running this in two checkouts and
-comparing the trees with ``diff -r`` checks that a change keeps the CLI
-output byte-identical.  Set ``OPENBLAS_NUM_THREADS=1`` for both runs.
+on every built-in split, then ``cost``, ``decompose`` and ``verify-split`` on
+each split document of ``SPLIT_DOCS``.  Call ``k`` runs in ``OUTDIR/NNN``
+(``k`` as three digits), writes its output files there and leaves ``argv``,
+``exit``, ``stdout`` and ``stderr`` beside them; the ``random`` calls write
+the input matrices ``OUTDIR/u<n>_<seed>.json``, and the split documents are
+written first, as ``OUTDIR/split_<name>.json``.  Running this in two
+checkouts and comparing the trees with ``diff -r`` checks that a change
+keeps the CLI output byte-identical.  Set ``OPENBLAS_NUM_THREADS=1`` for
+both runs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
+import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,6 +34,39 @@ from cartancost.cli import main  # noqa: E402
 
 SEEDS = (1, 2, 3, 4, 5)
 SPLITS = [("single_x", 1), ("two_local", 2)] + [("ai", n) for n in range(1, 5)]
+
+
+def _strings(n: int) -> list[str]:
+    """The non-identity Pauli strings on n qubits, in product order of IXYZ."""
+    return ["".join(s) for s in itertools.product("IXYZ", repeat=n)][1:]
+
+
+_H = 1.0 / math.sqrt(2.0)
+TWO_LOCAL = {
+    "l": ["IX", "IY", "IZ", "XI", "YI", "ZI"],
+    "p": ["XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ"],
+    "z": ["XX", "YY", "ZZ"],
+}
+# the magic basis, the two_local adapted frame
+MAGIC = {
+    "dim": 4,
+    "re": [[_H, 0.0, 0.0, 0.0], [0.0, 0.0, _H, 0.0], [0.0, 0.0, -_H, 0.0], [_H, 0.0, 0.0, 0.0]],
+    "im": [[0.0, -_H, 0.0, 0.0], [0.0, 0.0, 0.0, -_H], [0.0, 0.0, 0.0, -_H], [0.0, _H, 0.0, 0.0]],
+}
+# (name, document, qubit count)
+SPLIT_DOCS = [
+    ("two_local_q", {**TWO_LOCAL, "Q": MAGIC}, 2),
+    # the odd-Y so(8) split with the identity frame, so no "Q"
+    ("ai3", {"l": [s for s in _strings(3) if s.count("Y") % 2],
+             "p": [s for s in _strings(3) if s.count("Y") % 2 == 0],
+             "z": [s for s in _strings(3) if set(s) <= {"I", "Z"}]}, 3),
+    # the inner involution T = ZI: type AIII, refused by cost and decompose
+    ("aiii", {"l": [s for s in _strings(2) if s[0] in "IZ"],
+              "p": [s for s in _strings(2) if s[0] not in "IZ"], "z": ["XI", "XZ"]}, 2),
+    # two_local with IX and XX swapped: no involution splits these lists
+    ("swapped", {**TWO_LOCAL, "l": ["XX", *TWO_LOCAL["l"][1:]],
+                 "p": ["IX", *TWO_LOCAL["p"][1:]], "Q": MAGIC}, 2),
+]
 
 
 def calls():
@@ -51,6 +90,11 @@ def calls():
         yield ["verify-split", "--split", kind, *size]
         yield ["verify-metric", "--split", kind, *size, "--samples", "3", "--seed", "0",
                "--json-out", "grams.json"]
+    for name, _, n in SPLIT_DOCS:
+        for seed in SEEDS[:2]:
+            yield ["cost", f"../u{n}_{seed}.json", "--split-file", f"../split_{name}.json"]
+            yield ["decompose", f"../u{n}_{seed}.json", "--split-file", f"../split_{name}.json"]
+        yield ["verify-split", "--split-file", f"../split_{name}.json"]
 
 
 def run(argv) -> tuple[int, str, str]:
@@ -66,6 +110,8 @@ def run(argv) -> tuple[int, str, str]:
 def write_corpus(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     os.environ.pop("CARTAN_SEED", None)  # every seeded call passes --seed
+    for name, doc, _ in SPLIT_DOCS:
+        (outdir / f"split_{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
     for k, argv in enumerate(calls()):
         here = outdir / f"{k:03d}"
         here.mkdir(exist_ok=True)
