@@ -1,6 +1,7 @@
 """Write the output of a fixed list of ``cartancost`` command lines to a directory.
 
     python tools/cli_corpus.py OUTDIR
+    python tools/cli_corpus.py [OUTDIR] --manifest PATH
 
 Runs each call in-process through ``cartancost.cli.main``, importing the
 package from this checkout's ``src``: ``random --n 1..4``, then ``decompose``
@@ -15,17 +16,29 @@ written first, as ``OUTDIR/split_<name>.json``.  Running this in two
 checkouts and comparing the trees with ``diff -r`` checks that a change
 keeps the CLI output byte-identical.  Set ``OPENBLAS_NUM_THREADS=1`` for
 both runs.
+
+``--manifest PATH`` also writes one SHA-256 per file of the tree to PATH, a
+line ``<hex>  <path relative to OUTDIR>`` each in path order (the format of
+``sha256sum``); without OUTDIR the tree goes to a temporary directory.
+``tests/data/cli_corpus.sha256`` is that manifest for the current CLI
+contract, and ``tests/test_cli_corpus.py`` holds every run to it; a change
+to the contract regenerates it with
+
+    OPENBLAS_NUM_THREADS=1 python tools/cli_corpus.py --manifest tests/data/cli_corpus.sha256
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -112,19 +125,43 @@ def write_corpus(outdir: Path) -> int:
     os.environ.pop("CARTAN_SEED", None)  # every seeded call passes --seed
     for name, doc, _ in SPLIT_DOCS:
         (outdir / f"split_{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
-    for k, argv in enumerate(calls()):
-        here = outdir / f"{k:03d}"
-        here.mkdir(exist_ok=True)
-        os.chdir(here)
-        code, out, err = run(argv)
-        (here / "argv").write_text(" ".join(argv) + "\n")
-        (here / "exit").write_text(f"{code}\n")
-        (here / "stdout").write_text(out)
-        (here / "stderr").write_text(err)
+    start = Path.cwd()
+    try:
+        for k, argv in enumerate(calls()):
+            here = outdir / f"{k:03d}"
+            here.mkdir(exist_ok=True)
+            os.chdir(here)
+            code, out, err = run(argv)
+            (here / "argv").write_text(" ".join(argv) + "\n")
+            (here / "exit").write_text(f"{code}\n")
+            (here / "stdout").write_text(out)
+            (here / "stderr").write_text(err)
+    finally:
+        os.chdir(start)
     return k + 1
 
 
+def manifest(outdir: Path) -> str:
+    """One ``<sha256>  <relative path>`` line per file under ``outdir``, in path order."""
+    files = sorted((p.relative_to(outdir).as_posix(), p) for p in outdir.rglob("*") if p.is_file())
+    return "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {rel}\n" for rel, p in files)
+
+
+def main_cli(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", nargs="?", type=Path, help="where the corpus tree goes")
+    parser.add_argument("--manifest", type=Path, help="also write the SHA-256 of every file here")
+    args = parser.parse_args(argv)
+    if args.outdir is None and args.manifest is None:
+        parser.error("give OUTDIR, --manifest PATH or both")
+    manifest_path = args.manifest.resolve() if args.manifest else None
+    with tempfile.TemporaryDirectory() as scratch:
+        outdir = (args.outdir or Path(scratch)).resolve()
+        count = write_corpus(outdir)
+        if manifest_path:
+            manifest_path.write_text(manifest(outdir))
+    print(f"{count} calls")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    print(f"{write_corpus(Path(sys.argv[1]).resolve())} calls")
+    main_cli()
