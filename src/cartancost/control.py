@@ -3,18 +3,22 @@
 Piecewise-constant control paths are optimized under the penalty cost with a
 quadratic endpoint penalty; as the penalty weight epsilon shrinks, the
 numerical optimum must converge to the analytic lattice cost.  The objective
-comes with its exact gradient (GRAPE-style: prefix and suffix products of
-the segment propagators, with each propagator's derivative taken from its
-eigendecomposition), and L-BFGS-B descends it.  All segment propagators of
-a path come from one stacked eigendecomposition.  The explicit three-leg
-path exp(iL') exp(iZ') exp(iM) built from the lattice-shifted KAK factors
-realizes the upper bound  analytic + sqrt(eps) * (|L'| + |M|)  and doubles
-as the optimizer's warm start.
+comes with its exact gradient (GRAPE-style: prefix products of the segment
+propagators, with each propagator's derivative taken from its
+eigendecomposition), and L-BFGS-B descends it under a rising endpoint weight
+lambda.  All segment propagators of a path come from one stacked
+eigendecomposition, ``linalg.hermitian_exp``, for :func:`evolve` too.  On
+2^n x 2^n matrices an evaluation's time goes to NumPy calls, not arithmetic,
+so the objective builds its target- and duration-only factors once, works on
+stacks, and keeps the lambda-free parts of its value for the next stage,
+which starts where the last one ended.  The explicit three-leg path
+exp(iL') exp(iZ') exp(iM) built from the lattice-shifted KAK factors realizes
+the upper bound  analytic + sqrt(eps) * (|L'| + |M|)  and doubles as the
+optimizer's warm start.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,17 +73,11 @@ class ControlPath:
         return (self.rows.shape[1] + 1).bit_length() // 2
 
 
-def _propagators(rows: np.ndarray, durations: np.ndarray, basis: np.ndarray):
-    """Eigenvalues, eigenvectors and propagators ``exp(-i H_s dt_s)`` of segments with
-    coefficient rows ``rows``; ``basis`` is the ``dense_basis`` stack flattened per matrix."""
-    dim = math.isqrt(rows.shape[-1] + 1)  # 4**n - 1 strings, 2**n dimensions
-    return hermitian_exp((rows @ basis).reshape(-1, dim, dim), durations)
-
-
 def evolve(path: ControlPath) -> np.ndarray:
     """Ordered product of segment propagators, later segments on the left."""
     stack = dense_basis(path.n)[1]
-    props = _propagators(path.rows, path.durations, stack.reshape(len(stack), -1))[2]
+    h = (path.rows @ stack.reshape(len(stack), -1)).reshape(-1, *stack.shape[1:])
+    props = hermitian_exp(h, path.durations)[2]
     u = props[0]
     for p in props[1:]:
         u = p @ u
@@ -133,6 +131,12 @@ class _Objective:
 
     The value is ``path_cost + lam * D^2`` with ``D = frobenius_distance(evolve(path),
     target)`` the endpoint distance modulo global phase, ``D^2 = 2N - 2|tr(T^+ U)|``.
+
+    Built once: the flattened basis, ``T^+``, the prefix stack and the factors
+    of the divided differences.  Neither ``c = path_cost`` nor ``e = D^2``
+    nor their gradients depends on ``lam``; these four parts are kept for the
+    last rows seen, so the first evaluation of a new ``lam`` stage, at the
+    previous stage's end point, costs no eigendecomposition.
     """
 
     def __init__(self, target, metric: PenaltyMetric, durations):
@@ -140,54 +144,59 @@ class _Objective:
         self.basis = stack.reshape(len(stack), -1)
         # tr(W P_k) for a stack of W is one product with the transposed basis
         self.basis_t = stack.transpose(0, 2, 1).reshape(len(stack), -1).T
-        self.durations = np.asarray(durations, dtype=float)
-        self.target_h = target.conj().T
-        self.dim = stack.shape[-1]
-        self.metric = metric
-        # d cost / d row = grad_weights * row * dt / speed
+        self.durations = dts = np.asarray(durations, dtype=float)
+        self.target, self.target_h = target, target.conj().T
+        dim = stack.shape[-1]
+        self.shape, self.two_dim = (len(dts), dim, dim), 2.0 * dim
+        # prefix[s] = U_{s-1}...U_0, and prefix[-1] is the endpoint U
+        self.prefix = np.empty((len(dts) + 1, dim, dim), dtype=complex)
+        self.prefix[0] = np.eye(dim)
+        # per-segment factors of the divided differences over eigenvalue gaps
+        self.dd_scale = -1j * dts[:, None, None]
+        self.rot_scale = -0.5j * dts[:, None, None]
+        self.sinc_scale = dts[:, None, None] / (2.0 * np.pi)
+        # cost = sqrt(rows^2 @ grad_weights), d cost / d row = grad_weights * row * dt / speed
         self.grad_weights = 2.0**metric.split.n * metric.weights
+        self._key = self._parts = None
 
     def value_and_grad(self, rows: np.ndarray, lam: float):
-        """Penalized value and its exact gradient with respect to ``rows``.
+        """Penalized value and its exact gradient with respect to ``rows``."""
+        key = rows.tobytes()
+        if key != self._key:
+            self._key, self._parts = key, self._lambda_free_parts(rows)
+        cost, cost_grad, endpoint_sq, endpoint_grad = self._parts
+        return cost + lam * endpoint_sq, cost_grad + lam * endpoint_grad
 
-        Each propagator's derivative comes from its eigendecomposition
-        (Daleckii-Krein): ``dU_s = V (G o V^+ dH V) V^+`` with the divided
-        differences ``G_ab = (e^{-i w_a dt} - e^{-i w_b dt}) / (w_a - w_b)``,
-        written as ``-i dt e^{-i (w_a + w_b) dt / 2} sinc((w_a - w_b) dt / 2)``
-        so that it is exact at and near coinciding eigenvalues, where it
-        tends to ``-i dt e^{-i w_a dt}``.
+    def _lambda_free_parts(self, rows: np.ndarray):
+        """``path_cost``, its gradient, ``D^2`` and its gradient.
+
+        With ``U = S_s U_s P_s`` (suffix, segment, prefix), ``d tr(T^+ U) =
+        tr(M_s dU_s)`` with ``M_s = P_s T^+ S_s = P_s (T^+ U) P_{s+1}^+``, so
+        the prefix products alone give every ``M_s``.  ``dU_s = V (G o V^+ dH
+        V) V^+`` (Daleckii-Krein) with ``G_ab = (e^{-i w_a dt} - e^{-i w_b dt})
+        / (w_a - w_b) = -i dt e^{-i (w_a + w_b) dt/2} sinc((w_a - w_b) dt/2)``,
+        exact at and near coinciding eigenvalues.  ``P_{s+1}^+ V = P_s^+ V
+        e^{i w dt}`` turns that phase into ``e^{-i (w_a - w_b) dt/2}``.
         """
-        dts = self.durations
-        w, v, props = _propagators(rows, dts, self.basis)
-        segments = len(props)
-        # prefix[s] = U_{s-1}...U_0 and suffix[s] = U_{S-1}...U_{s+1}
-        prefix = [np.eye(self.dim, dtype=complex)]
-        for p in props[:-1]:
-            prefix.append(p @ prefix[-1])
-        suffix = [np.eye(self.dim, dtype=complex)]
-        for p in props[:0:-1]:
-            suffix.append(suffix[-1] @ p)
-        suffix.reverse()
-        overlap = np.trace(self.target_h @ props[-1] @ prefix[-1])
-        # d tr(T^+ U) = tr(M_s dU_s) with M_s = prefix_s T^+ suffix_s
-        m = np.stack([prefix[s] @ self.target_h @ suffix[s] for s in range(segments)])
+        dts, prefix = self.durations, self.prefix
+        w, v, props = hermitian_exp((rows @ self.basis).reshape(self.shape), dts)
+        for s, p in enumerate(props):
+            np.matmul(p, prefix[s], out=prefix[s + 1])
+        u = prefix[-1]
+        overlap = np.vdot(self.target, u)  # tr(T^+ U)
         vh = v.conj().swapaxes(1, 2)
-        gap = (w[:, :, None] - w[:, None, :]) * dts[:, None, None] / 2.0
-        half = np.exp(-0.5j * w * dts[:, None])
-        g = -1j * dts[:, None, None] * half[:, :, None] * half[:, None, :] * np.sinc(gap / np.pi)
-        x = (vh @ m @ v) * g
-        d_overlap = (v @ x @ vh).reshape(segments, -1) @ self.basis_t
+        a = vh @ prefix[:-1]  # V^+ P_s
+        gap = w[:, :, None] - w[:, None, :]
+        g = self.dd_scale * np.exp(self.rot_scale * gap) * np.sinc(self.sinc_scale * gap)
+        x = (a @ (self.target_h @ u) @ a.conj().swapaxes(1, 2)) * g
+        d_overlap = (v @ x @ vh).reshape(len(dts), -1) @ self.basis_t
         size = abs(overlap)
         unit = overlap / size if size > 0.0 else 1.0
-        endpoint_sq = 2.0 * self.dim - 2.0 * size
-        endpoint_grad = -2.0 * (np.conj(unit) * d_overlap).real
-
-        speeds = self.metric.cost(rows)
+        speeds = np.sqrt((rows * rows) @ self.grad_weights)  # metric.cost(rows)
         # a row at zero speed is all zeros, so its gradient is zero too
         safe = np.where(speeds > 0.0, speeds, 1.0)
-        cost_grad = self.grad_weights * rows * (dts / safe)[:, None]
-        value = float(speeds @ dts) + lam * endpoint_sq
-        return value, cost_grad + lam * endpoint_grad
+        return (float(speeds @ dts), self.grad_weights * rows * (dts / safe)[:, None],
+                self.two_dim - 2.0 * size, (d_overlap * (-2.0 * np.conj(unit))).real)
 
 
 def optimize_path(

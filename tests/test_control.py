@@ -226,15 +226,50 @@ class TestOptimizePath:
         assert la.frobenius_distance(ct.evolve(path), u) <= ct._ENDPOINT_TOL
 
 
+def _ref_value_and_grad(target, metric, durations, rows, lam):
+    """The objective as per-segment loops built it: prefix and suffix lists,
+    one M_s per segment, and the phases of both eigenvalues of each gap."""
+    n = metric.split.n
+    stack = pauli.dense_basis(n)[1]
+    dim, segments = 2**n, len(rows)
+    target_h = target.conj().T
+    w, v = np.linalg.eigh(np.einsum("sk,kij->sij", rows, stack))
+    props = [v[s] @ np.diag(np.exp(-1j * w[s] * durations[s])) @ v[s].conj().T
+             for s in range(segments)]
+    prefix, suffix = [np.eye(dim)], [np.eye(dim)]
+    for s in range(segments - 1):
+        prefix.append(props[s] @ prefix[-1])
+        suffix.append(suffix[-1] @ props[segments - 1 - s])
+    suffix.reverse()
+    overlap = np.trace(target_h @ props[-1] @ prefix[-1])
+    unit = overlap / abs(overlap)
+    grad = np.empty_like(rows)
+    for s in range(segments):
+        dt, vs = durations[s], v[s]
+        m = prefix[s] @ target_h @ suffix[s]
+        gap = (w[s][:, None] - w[s][None, :]) * dt / 2.0
+        half = np.exp(-0.5j * w[s] * dt)
+        g = -1j * dt * np.outer(half, half) * np.sinc(gap / np.pi)
+        for k, pk in enumerate(stack):
+            du = vs @ ((vs.conj().T @ pk @ vs) * g) @ vs.conj().T
+            grad[s, k] = -2.0 * (np.conj(unit) * np.trace(m @ du)).real
+    speeds = metric.cost(rows)
+    safe = np.where(speeds > 0.0, speeds, 1.0)
+    cost_grad = 2.0**n * metric.weights * rows * (durations / safe)[:, None]
+    value = speeds @ durations + lam * (2.0 * dim - 2.0 * abs(overlap))
+    return value, cost_grad + lam * grad
+
+
 class TestObjectiveGradient:
-    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2)])
+    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
+    @pytest.mark.parametrize("segments", [3, 4])
     @pytest.mark.parametrize("lam", [10.0, 1e4])
-    def test_matches_central_differences(self, kind, n, lam):
+    def test_matches_central_differences(self, kind, n, segments, lam):
         split = pauli.builtin_split(n, kind)
         target = la.haar_random_special_unitary(2**n, 11)
-        metric, durations = mt.PenaltyMetric(split, 1e-2), np.full(3, 1.0 / 3.0)
+        metric, durations = mt.PenaltyMetric(split, 1e-2), np.full(segments, 1.0 / segments)
         obj = ct._Objective(target, metric, durations)
-        rows = np.random.default_rng(n).standard_normal((3, 4**n - 1)) * 0.4
+        rows = np.random.default_rng(n).standard_normal((segments, 4**n - 1)) * 0.4
         rows[1] = 0.0  # a segment at zero speed
         value, grad = obj.value_and_grad(rows, lam)
         path = ct.ControlPath(rows, durations)
@@ -249,6 +284,24 @@ class TestObjectiveGradient:
             numeric[idx] = (obj.value_and_grad(up, lam)[0]
                             - obj.value_and_grad(down, lam)[0]) / (2 * step)
         assert np.abs(grad - numeric).max() <= 1e-7 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
+    @pytest.mark.parametrize("segments", [3, 5])
+    def test_matches_per_segment_reference(self, kind, n, segments):
+        # the stacked kernel reorders floating-point work, so equal to rounding, not bits
+        split = pauli.builtin_split(n, kind)
+        rng = np.random.default_rng(40 + n)
+        durations = np.full(segments, 1.0 / segments)
+        for trial in range(4):
+            target = la.haar_random_special_unitary(2**n, trial)
+            metric = mt.PenaltyMetric(split, (1e-1, 1e-3)[trial % 2])
+            rows = rng.standard_normal((segments, 4**n - 1)) * (0.05, 0.4, 3.0, 1.0)[trial]
+            if trial == 3:
+                rows[1] = 0.0  # a segment at zero speed
+            value, grad = ct._Objective(target, metric, durations).value_and_grad(rows, 1e3)
+            want_value, want_grad = _ref_value_and_grad(target, metric, durations, rows, 1e3)
+            assert abs(value - want_value) <= 1e-12 * abs(want_value)
+            assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
 class TestEpsilonSweep:
@@ -276,6 +329,30 @@ class TestEpsilonSweep:
         s2 = ct.epsilon_sweep(u, single_x, [1e-1, 1e-2], segments=3, restarts=1, seed=9)
         assert np.array_equal(s1.numeric_costs, s2.numeric_costs)
         assert np.array_equal(s1.endpoint_residuals, s2.endpoint_residuals)
+
+    def test_lambda_stages_reuse_bit_identical_parts(self, single_x):
+        target = la.haar_random_special_unitary(2, 21)
+        metric, durations = mt.PenaltyMetric(single_x, 1e-2), np.full(3, 1.0 / 3.0)
+        rows = np.random.default_rng(21).standard_normal((3, 3)) * 0.4
+        obj = ct._Objective(target, metric, durations)
+        for lam in (10.0, 1e3):  # the second call reuses the first call's parts
+            value, grad = obj.value_and_grad(rows, lam)
+            fresh_value, fresh_grad = ct._Objective(target, metric, durations).value_and_grad(
+                rows, lam)
+            assert value == fresh_value and np.array_equal(grad, fresh_grad)
+
+    def test_rows_mutated_in_place_are_not_served_from_the_cache(self, single_x):
+        target = la.haar_random_special_unitary(2, 22)
+        metric, durations = mt.PenaltyMetric(single_x, 1e-2), np.full(3, 1.0 / 3.0)
+        rows = np.random.default_rng(22).standard_normal((3, 3)) * 0.4
+        obj = ct._Objective(target, metric, durations)
+        first_value, first_grad = obj.value_and_grad(rows, 10.0)
+        rows[1, 2] += 0.25
+        value, grad = obj.value_and_grad(rows, 10.0)
+        fresh_value, fresh_grad = ct._Objective(target, metric, durations).value_and_grad(
+            rows, 10.0)
+        assert value == fresh_value and np.array_equal(grad, fresh_grad)
+        assert value != first_value and not np.array_equal(grad, first_grad)
 
     def test_epsilons_must_descend(self, single_x):
         with pytest.raises(PreconditionError):
