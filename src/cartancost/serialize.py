@@ -127,6 +127,8 @@ def matrix_from_json(doc) -> np.ndarray:
     # NumPy would also take "1", true and null (as 1.0, 1.0 and NaN)
     if not set(map(type, itertools.chain(*doc["re"], *doc["im"]))) <= {int, float}:
         raise ParseError("matrix entries must be JSON numbers, not strings, booleans or null")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # NaN, Infinity, 1e999
+        raise ParseError("matrix entries must be finite")
     return re + 1j * im
 
 

@@ -84,6 +84,16 @@ class TestDecompose:
         assert code == 2
         assert out == "" and message in err
 
+    @pytest.mark.parametrize("command", ["decompose", "cost"])
+    @pytest.mark.parametrize("literal", ["1e999", "NaN", "Infinity", "-Infinity"])
+    def test_entries_must_be_finite(self, tmp_path, capsys, command, literal):
+        # Python's json reads all four, as inf or nan; NumPy used to warn on stderr, then exit 3
+        path = tmp_path / "id.json"
+        path.write_text(f'{{"dim": 2, "re": [[{literal}, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}')
+        code, out, err = run_main(capsys, command, str(path), "--split", "ai")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+
     @pytest.mark.parametrize("command", ["decompose", "cost", "sweep"])
     def test_no_qubit_count_option(self, tmp_path, capsys, command):
         # the matrix fixes n; an --n that would be ignored is a parse error
