@@ -19,7 +19,9 @@ both runs.
 
 ``--manifest PATH`` also writes one SHA-256 per file of the tree to PATH, a
 line ``<hex>  <path relative to OUTDIR>`` each in path order (the format of
-``sha256sum``); without OUTDIR the tree goes to a temporary directory.
+``sha256sum``), after a ``#`` line naming the NumPy and SciPy versions, the
+machine and NumPy's CPU dispatch targets, on which the last bits of the
+floats depend; without OUTDIR the tree goes to a temporary directory.
 ``tests/data/cli_corpus.sha256`` is that manifest for the current CLI
 contract, and ``tests/test_cli_corpus.py`` holds every run to it; a change
 to the contract regenerates it with
@@ -37,11 +39,16 @@ import itertools
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # noqa: E402
 
 from cartancost.cli import main  # noqa: E402
 
@@ -141,10 +148,18 @@ def write_corpus(outdir: Path) -> int:
     return k + 1
 
 
+def platform_line() -> str:
+    """The manifest's first line: what the output depends on besides the code."""
+    simd = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
+    return f"# numpy {np.__version__}, scipy {scipy.__version__}, {platform.machine()}, {simd}\n"
+
+
 def manifest(outdir: Path) -> str:
-    """One ``<sha256>  <relative path>`` line per file under ``outdir``, in path order."""
+    """The platform line, then one ``<sha256>  <relative path>`` line per file
+    under ``outdir``, in path order."""
     files = sorted((p.relative_to(outdir).as_posix(), p) for p in outdir.rglob("*") if p.is_file())
-    return "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {rel}\n" for rel, p in files)
+    return platform_line() + "".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {rel}\n" for rel, p in files)
 
 
 def main_cli(argv=None) -> None:
