@@ -261,8 +261,9 @@ def _ref_value_and_grad(target, metric, durations, rows, lam):
 
 
 class TestObjectiveGradient:
-    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
-    @pytest.mark.parametrize("segments", [3, 4])
+    @pytest.mark.parametrize("kind,n,segments", [
+        pytest.param(kind, n, segments, id=f"{kind}-{n}" + ("" if segments == 3 else "-4-segments"))
+        for segments in (3, 4) for kind, n in (("single_x", 1), ("two_local", 2), ("ai", 3))])
     @pytest.mark.parametrize("lam", [10.0, 1e4])
     def test_matches_central_differences(self, kind, n, segments, lam):
         split = pauli.builtin_split(n, kind)
