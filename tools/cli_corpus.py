@@ -132,19 +132,15 @@ def write_corpus(outdir: Path) -> int:
     os.environ.pop("CARTAN_SEED", None)  # every seeded call passes --seed
     for name, doc, _ in SPLIT_DOCS:
         (outdir / f"split_{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
-    start = Path.cwd()
-    try:
-        for k, argv in enumerate(calls()):
-            here = outdir / f"{k:03d}"
-            here.mkdir(exist_ok=True)
-            os.chdir(here)
-            code, out, err = run(argv)
-            (here / "argv").write_text(" ".join(argv) + "\n")
-            (here / "exit").write_text(f"{code}\n")
-            (here / "stdout").write_text(out)
-            (here / "stderr").write_text(err)
-    finally:
-        os.chdir(start)
+    for k, argv in enumerate(calls()):
+        here = outdir / f"{k:03d}"
+        here.mkdir(exist_ok=True)
+        os.chdir(here)
+        code, out, err = run(argv)
+        (here / "argv").write_text(" ".join(argv) + "\n")
+        (here / "exit").write_text(f"{code}\n")
+        (here / "stdout").write_text(out)
+        (here / "stderr").write_text(err)
     return k + 1
 
 
@@ -162,11 +158,11 @@ def manifest(outdir: Path) -> str:
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {rel}\n" for rel, p in files)
 
 
-def main_cli(argv=None) -> None:
+def main_cli() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", nargs="?", type=Path, help="where the corpus tree goes")
     parser.add_argument("--manifest", type=Path, help="also write the SHA-256 of every file here")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.outdir is None and args.manifest is None:
         parser.error("give OUTDIR, --manifest PATH or both")
     manifest_path = args.manifest.resolve() if args.manifest else None
