@@ -8,11 +8,14 @@ package from this checkout's ``src``: ``random --n 1..4``, then ``decompose``
 and ``cost`` on every built-in split family, then ``single_x`` and SU(4)
 sweeps with ``--csv``, then ``verify-split`` and ``verify-metric --json-out``
 on every built-in split, then ``cost``, ``decompose`` and ``verify-split`` on
-each split document of ``SPLIT_DOCS``.  Call ``k`` runs in ``OUTDIR/NNN``
-(``k`` as three digits), writes its output files there and leaves ``argv``,
-``exit``, ``stdout`` and ``stderr`` beside them; the ``random`` calls write
-the input matrices ``OUTDIR/u<n>_<seed>.json``, and the split documents are
-written first, as ``OUTDIR/split_<name>.json``.  Running this in two
+each split document of ``SPLIT_DOCS``, then ``decompose`` and ``cost`` on the
+input documents of ``MATRIX_DOCS``: a near-SWAP gate inside the KAK failure
+window (exit 4) and a matrix with a ragged row (exit 2).  Call ``k`` runs in
+``OUTDIR/NNN`` (``k`` as three digits), writes its output files there and
+leaves ``argv``, ``exit``, ``stdout`` and ``stderr`` beside them; the
+``random`` calls write the input matrices ``OUTDIR/u<n>_<seed>.json``, and
+the split and matrix documents are written first, as
+``OUTDIR/split_<name>.json`` and ``OUTDIR/<name>.json``.  Running this in two
 checkouts and comparing the trees with ``diff -r`` checks that a change
 keeps the CLI output byte-identical.  Set ``OPENBLAS_NUM_THREADS=1`` for
 both runs.
@@ -86,6 +89,29 @@ SPLIT_DOCS = [
     # two_local with IX and XX swapped: no involution splits these lists
     ("swapped", {**TWO_LOCAL, "l": ["XX", *TWO_LOCAL["l"][1:]],
                  "p": ["IX", *TWO_LOCAL["p"][1:]], "Q": MAGIC}, 2),
+    # two_local lists with the identity frame, which is not adapted to them
+    ("two_local_no_q", TWO_LOCAL, 2),
+]
+
+
+def near_swap(delta: float, rng) -> dict:
+    """SWAP exp(i delta H), H a traceless Hermitian matrix of unit Frobenius
+    norm, as a matrix document."""
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (a + a.conj().T) / 2
+    h -= np.trace(h) / 4 * np.eye(4)
+    h /= np.linalg.norm(h)
+    w, v = np.linalg.eigh(h)
+    u = np.eye(4)[[0, 2, 1, 3]] @ (v * np.exp(1j * delta * w)) @ v.conj().T
+    return {"dim": 4, "re": u.real.tolist(), "im": u.imag.tolist()}
+
+
+# (name, document, commands): inputs that no random call writes
+MATRIX_DOCS = [
+    # inside the near-degenerate window, where kak_decompose exits 4
+    ("near_swap", near_swap(3e-8, np.random.default_rng(2024)), ("decompose", "cost")),
+    ("ragged", {"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+     ("decompose",)),
 ]
 
 
@@ -115,6 +141,9 @@ def calls():
             yield ["cost", f"../u{n}_{seed}.json", "--split-file", f"../split_{name}.json"]
             yield ["decompose", f"../u{n}_{seed}.json", "--split-file", f"../split_{name}.json"]
         yield ["verify-split", "--split-file", f"../split_{name}.json"]
+    for name, _, commands in MATRIX_DOCS:
+        for command in commands:
+            yield [command, f"../{name}.json", "--split", "two_local"]
 
 
 def run(argv) -> tuple[int, str, str]:
@@ -132,6 +161,8 @@ def write_corpus(outdir: Path) -> int:
     os.environ.pop("CARTAN_SEED", None)  # every seeded call passes --seed
     for name, doc, _ in SPLIT_DOCS:
         (outdir / f"split_{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
+    for name, doc, _ in MATRIX_DOCS:
+        (outdir / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
     for k, argv in enumerate(calls()):
         here = outdir / f"{k:03d}"
         here.mkdir(exist_ok=True)
