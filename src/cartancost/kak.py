@@ -23,7 +23,7 @@ from .linalg import (
     log_special_orthogonal,
     project_special,
 )
-from .pauli import CartanSplit, Hamiltonian, support_residual
+from .pauli import CartanSplit, Hamiltonian, hermitian_coefficients
 
 __all__ = ["KakFactors", "kak_decompose", "reconstruct", "eigenphases",
            "canonicalize_phases"]
@@ -158,31 +158,28 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
 
 def _legs(split: CartanSplit, log_a, phases, log_bt):
     """Hamiltonians (l, z, m) of the frame factors exp(log_a), diag(exp(i phases))
-    and exp(log_bt), each restricted to its basis; a leak raises NumericalFailure."""
-    q = split.q
-    legs = []
-    for name, dense, basis in (
-        ("l", q @ (-1j * log_a) @ q.conj().T, split.l_basis),
-        ("z", q @ np.diag(phases).astype(complex) @ q.conj().T, split.z_basis),
-        ("m", q @ (-1j * log_bt) @ q.conj().T, split.l_basis),
-    ):
-        h = Hamiltonian.from_matrix(dense)
-        leak = support_residual(h, basis)
-        if leak > 1e-9 * max(1.0, h.norm()):
+    and exp(log_bt), each restricted to its basis; a leak raises NumericalFailure.
+    The three generators are expanded by one stacked call; a leak is the trace
+    norm of a row outside its basis mask."""
+    q, n, dim = split.q, split.n, 2**split.n
+    frame = np.stack([-1j * log_a, np.diag(phases).astype(complex), -1j * log_bt])
+    rows = hermitian_coefficients(q @ frame @ q.conj().T)
+    masks = np.stack([split.l_mask, split.z_mask, split.l_mask])
+    off = np.where(masks, 0.0, rows)
+    norms = np.sqrt(dim * (rows * rows).sum(axis=-1))
+    leaks = np.sqrt(dim * (off * off).sum(axis=-1))
+    for name, leak, norm in zip("lzm", leaks, norms):
+        if leak > 1e-9 * max(1.0, norm):
             raise NumericalFailure(
-                f"factor {name} leaks outside its subspace", residual=leak
+                f"factor {name} leaks outside its subspace", residual=float(leak)
             )
-        legs.append(h.restrict(basis))
-    return tuple(legs)
+    return tuple(Hamiltonian(n, row) for row in np.where(masks, rows, 0.0))
 
 
 def reconstruct(f: KakFactors) -> np.ndarray:
     """exp(i l) exp(i z) exp(i m) as a dense matrix."""
-    return (
-        expm(1j * f.l.to_matrix())
-        @ expm(1j * f.z.to_matrix())
-        @ expm(1j * f.m.to_matrix())
-    )
+    el, ez, em = expm(1j * np.stack([f.l.to_matrix(), f.z.to_matrix(), f.m.to_matrix()]))
+    return el @ ez @ em
 
 
 def eigenphases(f: KakFactors) -> np.ndarray:

@@ -149,6 +149,15 @@ def _refine_clusters(o: np.ndarray, values: np.ndarray, other: np.ndarray,
 _DIAG_RESIDUAL_TOL = 1e-9  # largest accepted |o diag(e) o^T - msym|_F
 
 
+def _combination_coefficients():
+    """The fixed sequence of 60 coefficients c tried in ``re + c * im``: 1, then
+    draws from a seeded generator, which is created only if 1 fails."""
+    yield 1.0
+    rng = np.random.default_rng(0x5D1A6)
+    for _ in range(59):
+        yield rng.uniform(0.25, 4.0) * rng.choice([-1.0, 1.0])
+
+
 def diag_symmetric_unitary(msym) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a complex-symmetric unitary with a real orthogonal frame.
 
@@ -170,11 +179,9 @@ def diag_symmetric_unitary(msym) -> tuple[np.ndarray, np.ndarray]:
     re, im = np.real(msym).copy(), np.imag(msym).copy()
     re = (re + re.T) / 2.0
     im = (im + im.T) / 2.0
-    rng = np.random.default_rng(0x5D1A6)
     best_residual = np.inf
     eye_gap = 1e-7 * max(1.0, np.linalg.norm(msym))
-    for attempt in range(60):
-        c = 1.0 if attempt == 0 else rng.uniform(0.25, 4.0) * rng.choice([-1.0, 1.0])
+    for c in _combination_coefficients():
         w, o = np.linalg.eigh(re + c * im)
         o = _refine_clusters(o, w, im, eye_gap)
         e = np.einsum("ji,jk,ki->i", o, msym, o)

@@ -318,6 +318,11 @@ class CartanSplit:
         """True at the l strings, over ``pauli_strings(n)``."""
         return _mask(self.n, self.l_basis)
 
+    @cached_property
+    def z_mask(self) -> np.ndarray:
+        """True at the z strings, over ``pauli_strings(n)``."""
+        return _mask(self.n, self.z_basis)
+
 
 @dataclass
 class SplitReport:

@@ -19,7 +19,7 @@ import numpy as np
 from .control import SweepResult
 from .cost import CostReport
 from .kak import KakFactors
-from .pauli import CartanSplit, Hamiltonian
+from .pauli import CartanSplit, Hamiltonian, pauli_strings
 
 __all__ = [
     "ParseError",
@@ -76,8 +76,9 @@ def _render(obj, parts: list, level: int) -> None:
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if all(type(v) is float for v in seq):  # fast path: flat rows of plain floats
-            parts.append("[" + ", ".join(map(_fmt_float, seq)) + "]")
+        if all(type(v) is float for v in seq) and all(map(math.isfinite, seq)):
+            # fast path: a flat row of finite plain floats in one format call
+            parts.append("[" + ", ".join(["%.17g"] * len(seq)) % tuple(seq) + "]")
         elif all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
             inner = []
             for v in seq:
@@ -133,7 +134,9 @@ def matrix_from_json(doc) -> np.ndarray:
 
 
 def hamiltonian_to_json(h: Hamiltonian) -> dict:
-    return {s: float(c) for s, c in sorted(h.coeffs.items())}
+    """The nonzero coefficients by string, in ``pauli_strings(n)`` order, which
+    is sorted order (I < X < Y < Z)."""
+    return {s: c for s, c in zip(pauli_strings(h.n), h.vec.tolist()) if c != 0.0}
 
 
 def split_to_json(split: CartanSplit) -> dict:

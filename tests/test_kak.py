@@ -3,7 +3,7 @@ import pytest
 
 from cartancost import kak, pauli
 from cartancost import linalg as la
-from cartancost.errors import PreconditionError
+from cartancost.errors import NumericalFailure, PreconditionError
 
 
 def roundtrip_residual(u, split):
@@ -126,3 +126,69 @@ class TestEigenphases:
             assert abs(pauli.trace_inner_product(f.z, f.z) - (ph**2).sum()) < 1e-10
             assert abs(ph.sum()) < 1e-12
             assert np.all(np.diff(ph) <= 1e-15)
+
+
+# -- reference implementations -------------------------------------------------
+
+def _ref_legs(split, log_a, phases, log_bt):
+    """One Hamiltonian expansion, leak check and restriction per leg."""
+    q = split.q
+    legs = []
+    for name, dense, basis in (
+        ("l", q @ (-1j * log_a) @ q.conj().T, split.l_basis),
+        ("z", q @ np.diag(phases).astype(complex) @ q.conj().T, split.z_basis),
+        ("m", q @ (-1j * log_bt) @ q.conj().T, split.l_basis),
+    ):
+        h = pauli.Hamiltonian.from_matrix(dense)
+        leak = pauli.support_residual(h, basis)
+        if leak > 1e-9 * max(1.0, h.norm()):
+            raise NumericalFailure(f"factor {name} leaks outside its subspace", residual=leak)
+        legs.append(h.restrict(basis))
+    return tuple(legs)
+
+
+def _ref_reconstruct(f):
+    """One exponential per leg."""
+    l, z, m = (la.expm(1j * h.to_matrix()) for h in (f.l, f.z, f.m))
+    return l @ z @ m
+
+
+BUILTIN_SPLITS = [(1, "single_x"), (2, "two_local")] + [(n, "ai") for n in range(1, 5)]
+
+
+class TestReferenceEquivalence:
+    """The stacked legs and reconstruction equal the per-leg loop bit for bit."""
+
+    @pytest.mark.parametrize("n,kind", BUILTIN_SPLITS)
+    def test_legs_and_reconstruct(self, n, kind):
+        split = pauli.builtin_split(n, kind)
+        for seed in range(5):
+            u = la.haar_random_special_unitary(2**n, 300 + seed)
+            f = kak.kak_decompose(u, split)
+            args = (la.log_special_orthogonal(f.a), kak.eigenphases(f),
+                    la.log_special_orthogonal(f.b.T))
+            for got, want in zip(kak._legs(split, *args), _ref_legs(split, *args)):
+                assert got.n == want.n and np.array_equal(got.vec, want.vec)
+            assert np.array_equal(kak.reconstruct(f), _ref_reconstruct(f))
+
+    @pytest.mark.parametrize("leg", ["l", "z", "m"])
+    def test_leak_names_the_same_factor(self, leg):
+        # a symmetric exponent puts l or m into p; z is shrunk to IZ, ZI so
+        # that the ZZ part of the diagonal leaks
+        base = pauli.builtin_split(2, "ai")
+        split = pauli.CartanSplit(2, base.l_basis, base.p_basis, ("IZ", "ZI"), base.q, "ai")
+        rng = np.random.default_rng(5)
+        sym = rng.standard_normal((4, 4))
+        sym = (sym + sym.T) / 2
+        sym -= np.trace(sym) / 4 * np.eye(4)
+        anti = rng.standard_normal((4, 4))
+        anti = (anti - anti.T) / 2
+        args = {"l": (1j * sym, np.zeros(4), anti),
+                "z": (anti, np.array([0.3, -0.1, -0.1, -0.1]), anti),
+                "m": (anti, np.zeros(4), 1j * sym)}[leg]
+        with pytest.raises(NumericalFailure) as ref:
+            _ref_legs(split, *args)
+        with pytest.raises(NumericalFailure) as got:
+            kak._legs(split, *args)
+        assert f"factor {leg} leaks" in str(got.value)
+        assert str(got.value) == str(ref.value) and got.value.residual == ref.value.residual

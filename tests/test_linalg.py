@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cartancost import linalg as la
-from cartancost.errors import PreconditionError
+from cartancost import pauli
+from cartancost.errors import NumericalFailure, PreconditionError
 
 
 def random_antihermitian(rng, n, scale=1.0):
@@ -78,6 +79,43 @@ class TestExpm:
             la.expm(xs)
 
 
+def _ref_diag_symmetric_unitary(msym):
+    """The attempt loop that creates its fallback generator up front; returns
+    ``(o, e, attempt)`` or raises as :func:`la.diag_symmetric_unitary` does."""
+    re, im = np.real(msym).copy(), np.imag(msym).copy()
+    re = (re + re.T) / 2.0
+    im = (im + im.T) / 2.0
+    rng = np.random.default_rng(0x5D1A6)
+    best_residual = np.inf
+    eye_gap = 1e-7 * max(1.0, np.linalg.norm(msym))
+    for attempt in range(60):
+        c = 1.0 if attempt == 0 else rng.uniform(0.25, 4.0) * rng.choice([-1.0, 1.0])
+        w, o = np.linalg.eigh(re + c * im)
+        o = la._refine_clusters(o, w, im, eye_gap)
+        e = np.einsum("ji,jk,ki->i", o, msym, o)
+        residual = np.linalg.norm(o @ (e[:, None] * o.T) - msym)
+        if residual <= la._DIAG_RESIDUAL_TOL:
+            if np.linalg.det(o) < 0:
+                o[:, 0] = -o[:, 0]
+            return o, e / np.abs(e), attempt
+        best_residual = min(best_residual, residual)
+    raise NumericalFailure("failed", residual=best_residual)
+
+
+def _near_swap_msym(delta, rng):
+    """V^T V of SWAP exp(i delta H) in the magic frame, H Hermitian traceless
+    of unit norm: the symmetric unitary that kak_decompose diagonalizes."""
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (a + a.conj().T) / 2
+    h -= np.trace(h) / 4 * np.eye(4)
+    h /= np.linalg.norm(h)
+    w, v = np.linalg.eigh(h)
+    u, _ = la.project_special(np.eye(4)[[0, 2, 1, 3]] @ (v * np.exp(1j * delta * w)) @ v.conj().T)
+    q = pauli.MAGIC_BASIS
+    v = q.conj().T @ u @ q
+    return v.T @ v
+
+
 class TestDiagSymmetricUnitary:
     def make(self, rng, n, degenerate):
         o = random_special_orthogonal(rng, n)
@@ -113,6 +151,32 @@ class TestDiagSymmetricUnitary:
             assert abs(np.linalg.det(o) - 1.0) < 1e-8
             assert np.allclose(np.abs(e), 1.0, atol=1e-10)
         assert n_degenerate >= 100
+
+    def test_matches_eager_generator_reference(self):
+        # near SWAP at delta = 3e-7 most inputs need a random coefficient
+        rng = np.random.default_rng(7)
+        late = 0
+        for _ in range(12):
+            msym = _near_swap_msym(3e-7, rng)
+            try:
+                o_ref, e_ref, attempt = _ref_diag_symmetric_unitary(msym)
+            except NumericalFailure:
+                with pytest.raises(NumericalFailure):
+                    la.diag_symmetric_unitary(msym)
+                continue
+            o, e = la.diag_symmetric_unitary(msym)
+            assert np.array_equal(o, o_ref) and np.array_equal(e, e_ref)
+            late += attempt >= 1
+        assert late >= 3
+
+    def test_failure_residual_matches_reference(self):
+        # the near-SWAP input of the CLI corpus, inside the failure window
+        msym = _near_swap_msym(3e-8, np.random.default_rng(2024))
+        with pytest.raises(NumericalFailure) as ref:
+            _ref_diag_symmetric_unitary(msym)
+        with pytest.raises(NumericalFailure) as got:
+            la.diag_symmetric_unitary(msym)
+        assert got.value.residual == ref.value.residual
 
     def test_rejects_asymmetric(self):
         rng = np.random.default_rng(4)

@@ -216,6 +216,17 @@ class TestReferenceEquivalence:
         self.same(serialize.factors_to_json(f))
         self.same(serialize.matrix_to_json(u))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hamiltonian_map(self, n):
+        # pauli_strings(n) is in sorted order, so the map needs no sort
+        rng = np.random.default_rng(n)
+        vec = rng.standard_normal(4**n - 1) * (rng.random(4**n - 1) < 0.5)
+        vec[0] = -0.0
+        h = pauli.Hamiltonian(n, vec)
+        got = serialize.hamiltonian_to_json(h)
+        assert list(got.items()) == [(s, float(c)) for s, c in sorted(h.coeffs.items())]
+        assert all(type(c) is float for c in got.values())
+
     @pytest.mark.parametrize("n,kind", FACTOR_SPLITS)
     def test_cost_reports(self, n, kind):
         from cartancost.cost import optimal_cost
