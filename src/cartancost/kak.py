@@ -106,6 +106,12 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
     if split.type != "AI":
         raise PreconditionError("not a Cartan split" if split.type is None
                                 else f"split of type {split.type}: only type AI is priced")
+    frame = split.adapted
+    if not frame.ok:
+        raise PreconditionError(
+            f"the split's frame Q is not adapted to it (im {frame.realness:.2e}, "
+            f"orth {frame.orthogonality:.2e}, diag {frame.diagonality:.2e})"
+        )
     u = np.asarray(u, dtype=complex)
     dim = 2**split.n
     if u.shape != (dim, dim):

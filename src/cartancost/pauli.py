@@ -306,6 +306,11 @@ class CartanSplit:
         """The :func:`involution` of the l and p lists, None if there is none."""
         return involution(self.n, self.l_basis, self.p_basis)
 
+    @cached_property
+    def adapted(self) -> "AdaptedBasisReport":
+        """:func:`adapted_basis_properties` of the frame, computed once per split."""
+        return adapted_basis_properties(self)
+
     @property
     def type(self) -> str | None:
         """AI or AII for an outer theta with even or odd #Y(T), AIII for an inner one."""

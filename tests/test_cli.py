@@ -8,7 +8,7 @@ import pytest
 from cartancost import pauli
 from cartancost import linalg as la
 from cartancost.cli import main
-from cartancost.serialize import dumps_canonical, matrix_to_json
+from cartancost.serialize import dumps_canonical, matrix_to_json, split_to_json
 
 
 def write_matrix(tmp_path, name, m):
@@ -196,6 +196,41 @@ class TestSplitGate:
         code, out, err = run_main(capsys, "cost", u, "--split-file", split)
         assert code == 3
         assert out == "" and f"type {kind}:" in err
+
+
+def _two_local_doc(q=None):
+    """The two_local lists with the frame ``q``, or with no "Q" (the identity)."""
+    doc = split_to_json(pauli.builtin_split(2, "two_local"))
+    del doc["Q"]
+    return doc if q is None else {**doc, "Q": matrix_to_json(q)}
+
+
+_SHEARED = pauli.MAGIC_BASIS + np.outer(pauli.MAGIC_BASIS[:, 1], [1, 0, 0, 0])
+
+
+class TestSplitFrame:
+    """cost, decompose and sweep refuse a split whose frame is not adapted (exit 3)."""
+
+    @pytest.mark.parametrize("q", [None, 2 * pauli.MAGIC_BASIS, _SHEARED],
+                             ids=["no_q", "scaled_q", "non_unitary_q"])
+    def test_unadapted_frame_refused(self, tmp_path, capsys, q):
+        split = write_split(tmp_path, "split.json", _two_local_doc(q))
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
+        for command in ("cost", "decompose", "sweep"):
+            code, out, err = run_main(capsys, command, u, "--split-file", split)
+            assert code == 3, command
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: the split's frame Q is not adapted")
+
+    def test_permuted_magic_frame_accepted(self, tmp_path, capsys):
+        split = write_split(tmp_path, "split.json", _two_local_doc(pauli.MAGIC_BASIS[:, [2, 0, 3, 1]]))
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
+        code, out, err = run_main(capsys, "cost", u, "--split-file", split)
+        _, builtin, _ = run_main(capsys, "cost", u, "--split", "two_local")
+        assert code == 0 and err == ""
+        assert json.loads(out)["cost"] == pytest.approx(json.loads(builtin)["cost"], abs=1e-12)
+        code, out, err = run_main(capsys, "decompose", u, "--split-file", split)
+        assert code == 0 and err == "" and json.loads(out)["reconstruction_residual"] < 1e-12
 
 
 class TestVerifySplit:

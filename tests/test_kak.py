@@ -98,6 +98,23 @@ class TestKakRoundTrip:
         with pytest.raises(PreconditionError):
             kak.kak_decompose(np.eye(4, dtype=complex), pauli.builtin_split(1, "single_x"))
 
+    def test_unadapted_frame_checked_once(self, monkeypatch):
+        calls = []
+        check = pauli.adapted_basis_properties
+        monkeypatch.setattr(pauli, "adapted_basis_properties",
+                            lambda split: calls.append(split) or check(split))
+        base = pauli.builtin_split(2, "two_local")
+        fields = (2, base.l_basis, base.p_basis, base.z_basis)
+        u = la.haar_random_special_unitary(4, 3)
+        plain = pauli.CartanSplit(*fields, np.eye(4, dtype=complex))
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="frame Q is not adapted"):
+                kak.kak_decompose(u, plain)
+        magic = pauli.CartanSplit(*fields, pauli.MAGIC_BASIS)
+        for _ in range(2):
+            kak.kak_decompose(u, magic)
+        assert calls == [plain, magic]
+
     def test_not_unitary(self):
         with pytest.raises(PreconditionError):
             kak.kak_decompose(np.diag([1.0, 2.0, 1.0, 1.0]), pauli.builtin_split(2, "two_local"))
