@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestDecompose:
         code, out, err = run_main(capsys, command, str(path), "--split", "ai")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+
+    @pytest.mark.parametrize("command", ["decompose", "cost", "sweep"])
+    @pytest.mark.parametrize("doc,split,code", [
+        ({"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}, [], 2),
+        ({"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0, 0], [0, 0]]}, [], 2),
+        ({"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}, [], 3),
+        ({"dim": 32, "re": np.eye(32).tolist(), "im": np.zeros((32, 32)).tolist()},
+         ["--split", "ai"], 3),
+        ({"dim": 2**40, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}, [], 2),
+    ], ids=["ragged_re", "ragged_im", "dim_3", "dim_32", "dim_2_40"])
+    def test_malformed_shapes(self, tmp_path, capsys, command, doc, split, code):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run_main(capsys, command, str(path), *split)
+        assert got == code and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["decompose", "cost", "sweep"])
     def test_no_qubit_count_option(self, tmp_path, capsys, command):
