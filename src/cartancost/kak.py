@@ -168,8 +168,8 @@ def _legs(split: CartanSplit, log_a, phases, log_bt):
     The three generators are expanded by one stacked call; a leak is the trace
     norm of a row outside its basis mask."""
     q, n, dim = split.q, split.n, 2**split.n
-    frame = np.stack([-1j * log_a, np.diag(phases).astype(complex), -1j * log_bt])
-    rows = hermitian_coefficients(q @ frame @ q.conj().T)
+    gens = np.stack([-1j * log_a, np.diag(phases).astype(complex), -1j * log_bt])
+    rows = hermitian_coefficients(q @ gens @ q.conj().T)
     masks = np.stack([split.l_mask, split.z_mask, split.l_mask])
     off = np.where(masks, 0.0, rows)
     norms = np.sqrt(dim * (rows * rows).sum(axis=-1))

@@ -475,10 +475,13 @@ def adapted_basis_properties(split: CartanSplit) -> AdaptedBasisReport:
     for every z string P."""
     n, q, qh, dim = split.n, split.q, split.q.conj().T, 2**split.n
     stack = dense_basis(n)[1]
-    l_img, z_img = (qh @ stack[_indices(n, b)] @ q for b in (split.l_basis, split.z_basis))
-    realness = float(np.max(np.linalg.norm(l_img.real, axis=(1, 2)), initial=0.0))  # Im(iM) = Re M
-    orthogonality = float(np.linalg.norm(qh @ q - np.eye(dim)))
-    off = np.linalg.norm(z_img * (1 - np.eye(dim)), axis=(1, 2))
-    diagonality = float(np.max(off, initial=0.0))
+    # a frame too large to square gives inf or NaN residuals, which fail the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        l_img, z_img = (qh @ stack[_indices(n, b)] @ q for b in (split.l_basis, split.z_basis))
+        # Im(iM) = Re M
+        realness = float(np.max(np.linalg.norm(l_img.real, axis=(1, 2)), initial=0.0))
+        orthogonality = float(np.linalg.norm(qh @ q - np.eye(dim)))
+        off = np.linalg.norm(z_img * (1 - np.eye(dim)), axis=(1, 2))
+        diagonality = float(np.max(off, initial=0.0))
     ok = realness <= 1e-8 and orthogonality <= 1e-8 and diagonality <= 1e-10
     return AdaptedBasisReport(realness, orthogonality, diagonality, ok)

@@ -230,8 +230,9 @@ _SHEARED = pauli.MAGIC_BASIS + np.outer(pauli.MAGIC_BASIS[:, 1], [1, 0, 0, 0])
 class TestSplitFrame:
     """cost, decompose and sweep refuse a split whose frame is not adapted (exit 3)."""
 
-    @pytest.mark.parametrize("q", [None, 2 * pauli.MAGIC_BASIS, _SHEARED],
-                             ids=["no_q", "scaled_q", "non_unitary_q"])
+    @pytest.mark.parametrize(
+        "q", [None, 2 * pauli.MAGIC_BASIS, _SHEARED, 1e200 * pauli.MAGIC_BASIS],
+        ids=["no_q", "scaled_q", "non_unitary_q", "overflowing_q"])
     def test_unadapted_frame_refused(self, tmp_path, capsys, q):
         split = write_split(tmp_path, "split.json", _two_local_doc(q))
         u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
@@ -242,7 +243,8 @@ class TestSplitFrame:
             assert err.startswith("error: the split's frame Q is not adapted")
 
     def test_permuted_magic_frame_accepted(self, tmp_path, capsys):
-        split = write_split(tmp_path, "split.json", _two_local_doc(pauli.MAGIC_BASIS[:, [2, 0, 3, 1]]))
+        permuted = pauli.MAGIC_BASIS[:, [2, 0, 3, 1]]
+        split = write_split(tmp_path, "split.json", _two_local_doc(permuted))
         u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
         code, out, err = run_main(capsys, "cost", u, "--split-file", split)
         _, builtin, _ = run_main(capsys, "cost", u, "--split", "two_local")
