@@ -53,6 +53,10 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 EXIT_NONCONVERGENCE = 5
 
+# the exit code of each error that main reports as one "error:" line
+_ERROR_EXITS = {ParseError: EXIT_PARSE, PreconditionError: EXIT_PRECONDITION,
+                NumericalFailure: EXIT_NUMERICAL, ConvergenceFailure: EXIT_NONCONVERGENCE}
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -303,18 +307,9 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except ParseError as err:
+    except tuple(_ERROR_EXITS) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except NumericalFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ConvergenceFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return next(code for kind, code in _ERROR_EXITS.items() if isinstance(err, kind))
 
 
 if __name__ == "__main__":

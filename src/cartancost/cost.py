@@ -32,7 +32,8 @@ class CostReport:
     """Optimal cost together with the evidence that produced it.
 
     Invariant: ``cost**2 == sum(shifted_phases**2)`` with
-    ``shifted_phases = eigenphases - pi * lattice_point``.
+    ``shifted_phases = eigenphases - pi * lattice_point``; ``certificate_gap
+    = pi - (max - min)`` of them is >= 0, so the point is nearest (0: a tie).
     """
 
     cost: float
@@ -40,6 +41,10 @@ class CostReport:
     lattice_point: np.ndarray
     shifted_phases: np.ndarray
     factors: KakFactors = field(repr=False)
+
+    @property
+    def certificate_gap(self) -> float:
+        return float(np.pi - np.ptp(self.shifted_phases))
 
 
 def optimal_cost(u, split: CartanSplit) -> CostReport:

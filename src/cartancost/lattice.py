@@ -1,10 +1,10 @@
 """Closest-point search in the sum-zero pi-lattice.
 
 The lattice is ``{pi * m : m integer, sum(m) = 0}``, a scaled A_{N-1} root
-lattice living in the sum-zero hyperplane.  The fast search is the classical
-A_n nearest-point procedure (round, then repair the coordinate-sum
-deficiency along the worst rounding residuals); the brute-force enumerator
-exists purely as an oracle for it.
+lattice whose Voronoi-relevant vectors are the roots pi (e_i - e_j) (Conway &
+Sloane, ch. 21).  So pi m is nearest to x exactly when ``s = x - pi m`` has
+``max(s) - min(s) <= pi``, and the search's exit test is its certificate.
+The brute-force enumerator exists purely as an oracle for it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NumericalFailure, PreconditionError
 
 __all__ = ["closest_lattice_point", "closest_lattice_point_bruteforce"]
 
@@ -21,25 +21,25 @@ __all__ = ["closest_lattice_point", "closest_lattice_point_bruteforce"]
 def closest_lattice_point(x) -> np.ndarray:
     """Integer vector m with sum 0 minimizing ``|x - pi m|``.
 
-    Rounds each coordinate of x/pi half-toward-zero, then repairs the sum
-    deficiency Delta by decrementing the Delta coordinates with the most
-    negative rounding residual (incrementing the most positive ones for
-    negative Delta).  O(N log N), exact for this lattice family.
+    From m = 0, steps pi off the largest entry of ``s = x - pi m`` onto the
+    smallest while their spread exceeds pi, so a tie keeps the first point
+    reached.  Exactly, no step is undone (after it ``s_j - s_i < pi``): an
+    undo is a tie hidden by rounding at large |x|, and stops the search too.
+    It raises NumericalFailure after ``N * (2 + ceil(max|x| / pi))`` steps.
     """
     x = np.asarray(x, dtype=float)
-    if abs(x.sum()) > 1e-9:
+    if not abs(x.sum()) <= 1e-9:
         raise PreconditionError(f"coordinates must sum to zero (got {x.sum():.3e})")
-    t = x / np.pi
-    m = (np.ceil(np.abs(t) - 0.5) * np.sign(t)).astype(int)
-    residual = t - m
-    deficiency = int(m.sum())
-    if deficiency > 0:
-        order = np.argsort(residual, kind="stable")
-        m[order[:deficiency]] -= 1
-    elif deficiency < 0:
-        order = np.argsort(-residual, kind="stable")
-        m[order[:-deficiency]] += 1
-    return m
+    m, last = np.zeros(x.shape, dtype=int), None
+    steps = x.size * (2 + int(np.ceil(np.abs(x).max() / np.pi)))
+    for _ in range(steps + 1):
+        s = x - np.pi * m
+        step = [np.argmax(s), np.argmin(s)]
+        if s.max() - s.min() <= np.pi or step[::-1] == last:
+            return m
+        m[step] += 1, -1
+        last = step
+    raise NumericalFailure(f"lattice search took more than {steps} steps")
 
 
 @lru_cache(maxsize=16)
@@ -59,9 +59,8 @@ def _sum_zero_candidates(n: int, radius: int) -> np.ndarray:
 def closest_lattice_point_bruteforce(x, radius: int = 3) -> np.ndarray:
     """Exhaustive minimizer over ``m in {-radius..radius}^N`` with sum 0.
 
-    Agrees with the fast search whenever the true minimizer lies inside the
-    enumeration box; ties resolve to the first candidate in enumeration
-    order, which may differ from the fast tie-break (distances still agree).
+    Agrees with the fast search in distance whenever the true minimizer lies
+    inside the box; ties resolve to the first candidate in enumeration order.
     """
     x = np.asarray(x, dtype=float)
     cands = _sum_zero_candidates(len(x), radius)

@@ -34,6 +34,9 @@ class TestOptimalCost:
         gen = sum(pauli.pauli_matrix(s) for s in ("XX", "YY", "ZZ"))
         report = cost.optimal_cost(la.expm(1j * (np.pi / 4) * gen), two_local)
         assert abs(report.cost - np.sqrt(3) * np.pi / 2) < 1e-9
+        # SWAP sits on a Voronoi face: the tie keeps the zero point
+        assert np.array_equal(report.lattice_point, np.zeros(4))
+        assert 0 <= report.certificate_gap <= 1e-12
 
     def test_report_invariant(self, two_local):
         u = la.haar_random_special_unitary(4, 21)
@@ -43,13 +46,14 @@ class TestOptimalCost:
             report.shifted_phases,
             report.eigenphases - np.pi * report.lattice_point,
         )
+        assert report.certificate_gap >= 0
 
     def test_inversion_symmetry(self, two_local):
         for seed in range(20):
             u = la.haar_random_special_unitary(4, 300 + seed)
-            c = cost.optimal_cost(u, two_local).cost
-            c_dag = cost.optimal_cost(u.conj().T, two_local).cost
-            assert abs(c - c_dag) < 1e-8
+            report, report_dag = (cost.optimal_cost(v, two_local) for v in (u, u.conj().T))
+            assert report.certificate_gap >= 0 and report_dag.certificate_gap >= 0
+            assert abs(report.cost - report_dag.cost) < 1e-8
 
     def test_zero_locus_on_free_group(self, two_local):
         rng = np.random.default_rng(4)

@@ -63,6 +63,17 @@ class TestKakRoundTrip:
             _, res = roundtrip_residual(u, split)
             assert res < 1e-8
 
+    def test_two_pi_fold(self):
+        # the smallest halved phase is ~1e-16, so the det-parity pi shift
+        # lands p - pi on exactly -pi, which the 2 pi fold in
+        # _canonical_moves must carry to +pi
+        u = np.diag(np.exp(1j * np.array([np.pi / 2, np.pi / 4, np.pi / 4, -np.pi])))
+        f, res = roundtrip_residual(u, pauli.builtin_split(2, "ai"))
+        assert res < 1e-8
+        z = kak.eigenphases(f)
+        assert np.all(z > -np.pi) and np.all(z <= np.pi)
+        assert z.sum() == 0
+
     def test_central_construct_oracle(self):
         # exp(iZ0) with small phases decomposes back to the same eigenphases
         split = pauli.builtin_split(2, "ai")

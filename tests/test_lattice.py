@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartancost import lattice
 from cartancost.errors import PreconditionError
+from cartancost.kak import canonicalize_phases
 
 
 class TestFastSearch:
@@ -74,3 +77,44 @@ class TestBruteForce:
             dn = np.linalg.norm(-x - np.pi * lattice.closest_lattice_point(-x))
             assert abs(d - ds) < 1e-12
             assert abs(d - dn) < 1e-12
+
+
+@st.composite
+def sum_zero_points(draw):
+    """A sum-zero x of length 2..16: raw (entries in [-pi, pi], centred),
+    canonicalized, on a Voronoi face shifted by a lattice point and moved by
+    a few ulps, or wide (entries up to +-50 pi)."""
+    n = draw(st.integers(2, 16))
+    kind = draw(st.sampled_from(["raw", "canonical", "face", "wide"]))
+    x = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    x *= 50 * np.pi if kind == "wide" else np.pi
+    if kind == "face":
+        x[:2] = -np.pi / 2, np.pi / 2  # spread pi, before the centring
+    x -= x.mean()
+    if kind == "canonical":
+        x = canonicalize_phases(x)
+    if kind == "face":
+        m = np.array(draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)))
+        x += np.pi * np.append(m, -m.sum())
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            x[i] = np.nextafter(x[i], draw(st.sampled_from([-np.inf, np.inf])))
+    return kind, x
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(sum_zero_points())
+def test_search_is_certified(point):
+    kind, x = point
+    m = lattice.closest_lattice_point(x)
+    s = x - np.pi * m
+    assert m.sum() == 0
+    # a tie at +-50 pi may end where the spread exceeds pi by rounding only
+    slack = 8 * np.spacing(np.abs(x).max()) if kind == "wide" else 0.0
+    assert s.max() - s.min() <= np.pi + slack
+    # no root step pi (e_i - e_j) shortens s
+    n = len(x)
+    roots = (np.eye(n)[:, None] - np.eye(n)[None, :]).reshape(-1, n)
+    assert np.all(np.linalg.norm(s - np.pi * roots, axis=1) >= np.linalg.norm(s) - 1e-12)
+    if n <= 8 and np.abs(x).max() <= 1.4 * np.pi:
+        brute = lattice.closest_lattice_point_bruteforce(x, radius=2)
+        assert abs(np.linalg.norm(s) - np.linalg.norm(x - np.pi * brute)) < 1e-12

@@ -10,7 +10,8 @@ sweeps with ``--csv``, then ``verify-split`` and ``verify-metric --json-out``
 on every built-in split, then ``cost``, ``decompose`` and ``verify-split`` on
 each split document of ``SPLIT_DOCS``, then ``decompose`` and ``cost`` on the
 input documents of ``MATRIX_DOCS``: a near-SWAP gate inside the KAK failure
-window (exit 4) and a matrix with a ragged row (exit 2).  Call ``k`` runs in
+window (exit 4), a matrix with a ragged row (exit 2) and SWAP, whose
+eigenphases tie two lattice points.  Call ``k`` runs in
 ``OUTDIR/NNN`` (``k`` as three digits), writes its output files there and
 leaves ``argv``, ``exit``, ``stdout`` and ``stderr`` beside them; the
 ``random`` calls write the input matrices ``OUTDIR/u<n>_<seed>.json``, and
@@ -106,12 +107,16 @@ def near_swap(delta: float, rng) -> dict:
     return {"dim": 4, "re": u.real.tolist(), "im": u.imag.tolist()}
 
 
+SWAP = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 # (name, document, commands): inputs that no random call writes
 MATRIX_DOCS = [
     # inside the near-degenerate window, where kak_decompose exits 4
     ("near_swap", near_swap(3e-8, np.random.default_rng(2024)), ("decompose", "cost")),
     ("ragged", {"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
      ("decompose",)),
+    # e^{i pi/4} SWAP = expm(i pi/4 (XX+YY+ZZ)): its eigenphases tie two lattice points
+    ("swap", {"dim": 4, "re": [[_H * v for v in row] for row in SWAP],
+              "im": [[_H * v for v in row] for row in SWAP]}, ("cost",)),
 ]
 
 
