@@ -4,8 +4,9 @@ In the adapted frame the factorization is orthogonal-diagonal-orthogonal:
 ``V = A D B^T`` with A, B real special orthogonal and D diagonal unitary,
 where ``D^2`` diagonalizes the symmetric unitary ``V^T V``.  The eigenphases
 of D are canonicalized to a descending, sum-zero vector with entries in
-(-pi, pi]; the pi-shift and permutation freedom this uses is absorbed into
-column signs and orderings of A and B, so the factors always reconstruct the
+(-pi, pi] before A is formed: any square root D of the spectrum makes
+``A = V B D^-1`` unitary and complex orthogonal, hence real, and a zero phase
+sum with det B = +1 makes det A = +1, so the factors always reconstruct the
 input (after projection into the special unitary group).
 """
 
@@ -33,17 +34,14 @@ _PHASE_SUM_TOL = 1e-6  # largest accepted distance of the phase sum from a multi
 
 
 def _canonical_moves(x):
-    """Fold phases into (-pi, pi], zero the sum by integer pi-moves, sort
-    descending.  Returns (canonical, pi_moves, permutation): the input
-    satisfies ``x = canonical[inv(perm)] + pi * pi_moves`` up to rounding.
+    """Fold phases into (-pi, pi], zero the sum by pi-moves, sort descending.
+    Returns (canonical, permutation): ``canonical`` equals ``x[perm]`` modulo
+    pi, up to rounding.  While the sum is +k pi the largest entry moves down
+    by pi; while it is -k pi the smallest moves up.
     """
     x = np.asarray(x, dtype=float)
-    folds = np.round(x / _TWO_PI)
-    z = x - _TWO_PI * folds
-    moves = 2 * folds
-    low = z <= -np.pi
-    z[low] += _TWO_PI
-    moves[low] -= 2
+    z = x - _TWO_PI * np.round(x / _TWO_PI)
+    z[z <= -np.pi] += _TWO_PI
 
     total = z.sum()
     k = int(round(total / np.pi))
@@ -55,21 +53,19 @@ def _canonical_moves(x):
     for _ in range(abs(k)):
         j = int(np.argmax(z)) if step > 0 else int(np.argmin(z))
         z[j] -= step * np.pi
-        moves[j] += step
 
     # remove the rounding-level residual so the sum is zero to machine terms
     z -= z.mean()
     z[int(np.argmax(np.abs(z)))] -= z.sum()
 
     perm = np.argsort(-z, kind="stable")
-    return z[perm], moves.astype(int), perm
+    return z[perm], perm
 
 
 def canonicalize_phases(x) -> np.ndarray:
     """Canonical eigenphase vector: descending, entries in (-pi, pi],
     sum zero (enforced by pi-lattice moves plus a rounding-level snap)."""
-    z, _, _ = _canonical_moves(x)
-    return z
+    return _canonical_moves(x)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +73,9 @@ class KakFactors:
     """The Hamiltonian triple (l, z, m) and the adapted-frame factors.
 
     ``l`` and ``m`` live on the split's l-basis, ``z`` on its z-basis.  In
-    the adapted frame ``a`` and ``b`` are real special orthogonal and ``d``
-    is diagonal with det 1; the source unitary (projected into SU) equals
+    the adapted frame ``a`` and ``b`` are real special orthogonal and
+    ``d = diag(exp(i phases))``, with ``phases`` the read-only canonical
+    eigenphase vector; the source unitary (projected into SU) equals
     ``q (a d b^T) q^+``.
     """
 
@@ -86,10 +83,15 @@ class KakFactors:
     z: Hamiltonian
     m: Hamiltonian
     a: np.ndarray = field(repr=False)
-    d: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     split: CartanSplit = field(repr=False)
     removed_phase: float = 0.0
+
+    @property
+    def d(self) -> np.ndarray:
+        """The diagonal factor, det 1."""
+        return np.diag(np.exp(1j * self.phases))
 
 
 _UNITARY_TOL = 1e-9  # largest accepted |u^+ u - I|_F of an input
@@ -98,10 +100,11 @@ _UNITARY_TOL = 1e-9  # largest accepted |u^+ u - I|_F of an input
 def kak_decompose(u, split: CartanSplit) -> KakFactors:
     """Decompose a special unitary against a Cartan split.
 
-    Pipeline: move to the adapted frame, diagonalize V^T V with a real
-    orthogonal frame, take the det-corrected principal square root for D,
-    recover A = V O D^{-1} (real orthogonal by construction), canonicalize
-    the eigenphases, and map the matrix logarithms back to Hamiltonians.
+    Pipeline: move to the adapted frame, diagonalize V^T V = O E O^T with a
+    real orthogonal O, canonicalize the principal halved phases of E, order
+    O's columns to match as B (det +1), recover A = V B D^{-1} (real special
+    orthogonal by construction), and map the matrix logarithms back to
+    Hamiltonians.
     """
     if split.type != "AI":
         raise PreconditionError("not a Cartan split" if split.type is None
@@ -127,14 +130,12 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
     msym = v.T @ v
     o, e = diag_symmetric_unitary(msym)
 
-    phases = np.angle(e) / 2.0  # principal square root, in (-pi/2, pi/2]
-    if int(round(phases.sum() / np.pi)) % 2 != 0:
-        # det(D) = -1 under the principal branch: pi-shift one entry
-        j = int(np.argmin(phases))
-        phases[j] += np.pi if phases[j] <= 0 else -np.pi
-    d_diag = np.exp(1j * phases)
-
-    a = (v @ o) * d_diag.conj()[None, :]
+    phases, perm = _canonical_moves(np.angle(e) / 2.0)
+    phases.setflags(write=False)
+    b = o[:, perm]
+    if np.linalg.det(b) < 0:  # det(o) = +1, so this is the sign of perm
+        b[:, 0] = -b[:, 0]
+    a = (v @ b) * np.exp(-1j * phases)
     im_norm = float(np.linalg.norm(a.imag))
     if im_norm > 1e-7:
         raise NumericalFailure(
@@ -142,24 +143,10 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
             residual=im_norm,
         )
     a = a.real
-    b = o.copy()
 
-    z_vec, moves, perm = _canonical_moves(phases)
-    if moves.sum() % 2 != 0:
-        raise NumericalFailure(
-            "pi-move parity violated the det convention",
-            residual=float(moves.sum()),
-        )
-    signs = np.where(moves % 2 == 0, 1.0, -1.0)
-    a = (a * signs[None, :])[:, perm]
-    b = b[:, perm]
-    if np.linalg.det(b) < 0:  # det(o) = +1, so this is the sign of perm
-        a[:, 0] = -a[:, 0]
-        b[:, 0] = -b[:, 0]
-    d = np.diag(np.exp(1j * z_vec))
-
-    l, z, m = _legs(split, log_special_orthogonal(a), z_vec, log_special_orthogonal(b.T))
-    return KakFactors(l=l, z=z, m=m, a=a, d=d, b=b, split=split, removed_phase=removed)
+    l, z, m = _legs(split, log_special_orthogonal(a), phases, log_special_orthogonal(b.T))
+    return KakFactors(l=l, z=z, m=m, a=a, phases=phases, b=b, split=split,
+                      removed_phase=removed)
 
 
 def _legs(split: CartanSplit, log_a, phases, log_bt):
@@ -190,4 +177,4 @@ def reconstruct(f: KakFactors) -> np.ndarray:
 
 def eigenphases(f: KakFactors) -> np.ndarray:
     """Canonical eigenphase vector of the diagonal factor."""
-    return canonicalize_phases(np.angle(np.diagonal(f.d)))
+    return f.phases

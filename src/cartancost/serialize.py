@@ -18,6 +18,7 @@ import numpy as np
 
 from .control import SweepResult
 from .cost import CostReport
+from .errors import PreconditionError
 from .kak import KakFactors
 from .pauli import CartanSplit, Hamiltonian, pauli_strings
 
@@ -163,6 +164,8 @@ def split_from_json(doc) -> CartanSplit:
     for s in (*l, *p, *z):
         if len(s) != n or any(c not in "IXYZ" for c in s) or not s.strip("I"):
             raise ParseError(f"bad Pauli string {s!r}")
+    if not 1 <= n <= 4:  # before the 2**n frame is built
+        raise PreconditionError("supported qubit counts are 1..4")
     q = matrix_from_json(doc["Q"]) if "Q" in doc else np.eye(2**n, dtype=complex)
     if q.shape != (2**n, 2**n):
         raise ParseError("frame matrix dimension does not match the strings")

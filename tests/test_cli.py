@@ -299,6 +299,16 @@ class TestVerifySplit:
             assert code == 2
             assert out == "" and "bad Pauli string 'II'" in err
 
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_qubit_count_checked_before_the_frame(self, tmp_path, capsys, n):
+        # a 2**n identity frame for n = 40 would not fit in memory
+        split = write_split(tmp_path, "split.json", {"l": ["X" * n], "p": ["Z" * n], "z": ["Z" * n]})
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(2, 3))
+        for args in (("verify-split",), ("cost", u), ("decompose", u)):
+            code, out, err = run_main(capsys, *args, "--split-file", split)
+            assert code == 3, args
+            assert out == "" and err == "error: supported qubit counts are 1..4\n"
+
 
 class TestSplitFileExclusive:
     """--split-file stands in place of --split and --n: giving either with it

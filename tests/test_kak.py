@@ -3,6 +3,7 @@ import pytest
 
 from cartancost import kak, pauli
 from cartancost import linalg as la
+from cartancost.cost import optimal_cost
 from cartancost.errors import NumericalFailure, PreconditionError
 
 
@@ -27,6 +28,15 @@ class TestCanonicalPhases:
         with pytest.raises(PreconditionError):
             kak.canonicalize_phases(np.array([0.3, 0.3]))
 
+    @pytest.mark.parametrize("x,want", [
+        # -pi folds to +pi, then two pi-moves zero the sum
+        ((-np.pi, np.pi), (0.0, 0.0)),
+        # in range already: the 2 pi fold rounds, so it must leave these alone
+        ((0.9 * np.pi, -0.1 * np.pi, -0.8 * np.pi), (0.9 * np.pi, -0.1 * np.pi, -0.8 * np.pi)),
+    ])
+    def test_out_of_range_inputs(self, x, want):
+        np.testing.assert_allclose(kak.canonicalize_phases(np.array(x)), want, rtol=0, atol=1e-15)
+
 
 class TestKakRoundTrip:
     def test_identity(self):
@@ -49,6 +59,8 @@ class TestKakRoundTrip:
             # frame consistency
             assert np.linalg.norm(f.a.T @ f.a - np.eye(dim)) < 1e-7
             assert abs(np.linalg.det(np.diag(f.d.diagonal())) - 1.0) < 1e-10
+            assert abs(np.linalg.det(f.a) - 1.0) < 1e-10
+            assert abs(np.linalg.det(f.b) - 1.0) < 1e-10
 
     def test_degenerate_families(self):
         split = pauli.builtin_split(2, "two_local")
@@ -64,9 +76,9 @@ class TestKakRoundTrip:
             assert res < 1e-8
 
     def test_two_pi_fold(self):
-        # the smallest halved phase is ~1e-16, so the det-parity pi shift
-        # lands p - pi on exactly -pi, which the 2 pi fold in
-        # _canonical_moves must carry to +pi
+        # branch edges: the halved phases are (pi/2, pi/4, pi/4, ~1e-16), the
+        # first on the principal edge; their sum pi takes one pi-move, which
+        # carries pi/2 to -pi/2
         u = np.diag(np.exp(1j * np.array([np.pi / 2, np.pi / 4, np.pi / 4, -np.pi])))
         f, res = roundtrip_residual(u, pauli.builtin_split(2, "ai"))
         assert res < 1e-8
@@ -132,6 +144,21 @@ class TestKakRoundTrip:
 
 
 class TestEigenphases:
+    @pytest.mark.parametrize("sign,want", [(1, (0.3, 0.2, 0.1, -0.6)), (-1, (0.6, -0.1, -0.2, -0.3))])
+    def test_odd_sum_moves_an_end_entry(self, sign, want):
+        # the halved phases sign * (0.4, 0.3, 0.2, 0.1) pi sum to sign * pi:
+        # the largest moves down by pi, or the smallest up.  At sign 1 the
+        # cost is that of the parity-shifted (0.4, 0.3, 0.2, -0.9) pi at
+        # lattice point [1, 0, 0, -1]
+        split = pauli.builtin_split(2, "two_local")
+        phases = sign * np.pi * np.array([0.4, 0.3, 0.2, 1.1])
+        u = split.q @ np.diag(np.exp(1j * phases)) @ split.q.conj().T
+        report = optimal_cost(u, split)
+        np.testing.assert_allclose(report.eigenphases, np.pi * np.array(want), rtol=0, atol=1e-12)
+        assert np.array_equal(report.lattice_point, [0, 0, 0, 0])
+        assert report.cost == pytest.approx(np.pi / np.sqrt(2), abs=1e-12)
+        assert la.frobenius_distance(kak.reconstruct(report.factors), u) <= 1e-8
+
     def test_identity_all_zero(self):
         split = pauli.builtin_split(2, "two_local")
         f = kak.kak_decompose(np.eye(4, dtype=complex), split)

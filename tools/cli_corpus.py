@@ -10,8 +10,9 @@ sweeps with ``--csv``, then ``verify-split`` and ``verify-metric --json-out``
 on every built-in split, then ``cost``, ``decompose`` and ``verify-split`` on
 each split document of ``SPLIT_DOCS``, then ``decompose`` and ``cost`` on the
 input documents of ``MATRIX_DOCS``: a near-SWAP gate inside the KAK failure
-window (exit 4), a matrix with a ragged row (exit 2) and SWAP, whose
-eigenphases tie two lattice points.  Call ``k`` runs in
+window (exit 4), a matrix with a ragged row (exit 2), SWAP, whose
+eigenphases tie two lattice points, and a magic-basis diagonal whose halved
+phases sum to pi with every entry positive.  Call ``k`` runs in
 ``OUTDIR/NNN`` (``k`` as three digits), writes its output files there and
 leaves ``argv``, ``exit``, ``stdout`` and ``stderr`` beside them; the
 ``random`` calls write the input matrices ``OUTDIR/u<n>_<seed>.json``, and
@@ -107,6 +108,13 @@ def near_swap(delta: float, rng) -> dict:
     return {"dim": 4, "re": u.real.tolist(), "im": u.imag.tolist()}
 
 
+def _magic_diag(phases) -> dict:
+    """Q diag(e^{i phases}) Q^+, Q the magic basis, as a matrix document."""
+    q = np.array(MAGIC["re"]) + 1j * np.array(MAGIC["im"])
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    return {"dim": 4, "re": u.real.tolist(), "im": u.imag.tolist()}
+
+
 SWAP = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 # (name, document, commands): inputs that no random call writes
 MATRIX_DOCS = [
@@ -117,6 +125,8 @@ MATRIX_DOCS = [
     # e^{i pi/4} SWAP = expm(i pi/4 (XX+YY+ZZ)): its eigenphases tie two lattice points
     ("swap", {"dim": 4, "re": [[_H * v for v in row] for row in SWAP],
               "im": [[_H * v for v in row] for row in SWAP]}, ("cost",)),
+    # Q diag(e^{i pi (0.4, 0.3, 0.2, 1.1)}) Q^+: the largest halved phase takes the pi-move
+    ("odd_sum", _magic_diag(np.pi * np.array([0.4, 0.3, 0.2, 1.1])), ("decompose", "cost")),
 ]
 
 
