@@ -10,12 +10,12 @@ import numpy as np
 
 from cartancost import (
     builtin_split,
-    eigenphases,
     frobenius_distance,
     kak_decompose,
     project_special,
     reconstruct,
 )
+from cartancost.serialize import coefficients_to_json
 
 cnot = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -24,10 +24,10 @@ split = builtin_split(2, "two_local")
 
 factors = kak_decompose(cnot, split)
 print("removed global phase:", factors.removed_phase)
-print("L coefficients:", {s: round(c, 6) for s, c in sorted(factors.l.coeffs.items())})
-print("Z coefficients:", {s: round(c, 6) for s, c in sorted(factors.z.coeffs.items())})
-print("M coefficients:", {s: round(c, 6) for s, c in sorted(factors.m.coeffs.items())})
-print("eigenphases of the central factor:", np.round(eigenphases(factors), 6))
+# each leg is a coefficient row over pauli_strings(2); print its nonzero terms
+for name, row in (("L", factors.l), ("Z", factors.z), ("M", factors.m)):
+    print(f"{name} coefficients:", {s: round(c, 6) for s, c in coefficients_to_json(row).items()})
+print("eigenphases of the central factor:", np.round(factors.phases, 6))
 
 rebuilt = reconstruct(factors)
 target, _ = project_special(cnot)

@@ -29,7 +29,7 @@ from .cost import (
     single_qubit_cost,
 )
 from .errors import ConvergenceFailure, NumericalFailure, PreconditionError
-from .kak import KakFactors, canonicalize_phases, eigenphases, kak_decompose, reconstruct
+from .kak import KakFactors, canonicalize_phases, kak_decompose, reconstruct
 from .lattice import closest_lattice_point, closest_lattice_point_bruteforce
 from .linalg import (
     diag_symmetric_unitary,
@@ -55,7 +55,6 @@ from .pauli import (
     builtin_split,
     involution,
     pauli_matrix,
-    pauli_product,
     pauli_strings,
     random_hamiltonian,
     trace_inner_product,

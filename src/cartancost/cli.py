@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -83,12 +82,6 @@ def _load_json(path: str):
         raise ParseError(f"invalid JSON in {path}: {err}") from err
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("CARTAN_SEED", "0"))
-
-
 def _resolve_split(args, dim: int | None = None) -> CartanSplit:
     if args.split_file:
         if getattr(args, "n", None) is not None:
@@ -115,7 +108,7 @@ def _resolve_split(args, dim: int | None = None) -> CartanSplit:
 def cmd_random(args) -> int:
     if not 1 <= args.n <= 4:
         raise PreconditionError(f"--n must lie in 1..4, got {args.n}")
-    u = haar_random_special_unitary(2**args.n, _seed(args))
+    u = haar_random_special_unitary(2**args.n, args.seed)
     _write_text(args.output, dumps_canonical(matrix_to_json(u)))
     return EXIT_OK
 
@@ -176,7 +169,7 @@ def cmd_verify_metric(args) -> int:
         raise PreconditionError("--samples must be at least 1")
     split = _resolve_split(args)
     metric = PenaltyMetric(split, args.epsilon)
-    rng = np.random.default_rng(_seed(args))
+    rng = np.random.default_rng(args.seed)
     lines = []
     gram_docs = []
     ok = True
@@ -221,7 +214,7 @@ def cmd_sweep(args) -> int:
         epsilons,
         segments=args.segments,
         restarts=args.restarts,
-        seed=_seed(args),
+        seed=args.seed,
         max_iter=args.max_iter,
     )
     _write_text(args.output, dumps_canonical(sweep_to_json(result)))
@@ -258,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="emit a Haar-random special unitary")
     p.add_argument("--n", type=int, default=2, help="qubit count")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("decompose", help="KAK-decompose a unitary")
@@ -281,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-out", default=None, dest="json_out",
                    help="also write the measured Gram blocks as JSON here")
     p.add_argument("-o", "--output", default="-")
@@ -294,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=3)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--max-iter", type=int, default=2000, dest="max_iter")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None, help="also write a CSV table here")
 
     return parser

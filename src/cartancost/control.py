@@ -119,10 +119,10 @@ def optimal_feasible_path(report: CostReport) -> ControlPath:
             best = (size, log_a, log_bt)
     _, log_a, log_bt = best
 
-    l_new, z_new, m_old = _legs(factors.split, log_a, report.shifted_phases, log_bt)
+    legs = _legs(factors.split, log_a, report.shifted_phases, log_bt)
     dt = 1.0 / 3.0
     # exp(iM) is applied first and exp(iL') last; a segment applies exp(-i H dt)
-    rows = np.stack([m_old.vec, z_new.vec, l_new.vec]) * (-1.0 / dt)
+    rows = legs[::-1] * (-1.0 / dt)
     return ControlPath(rows, np.full(3, dt))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kak import KakFactors, eigenphases, kak_decompose
+from .kak import KakFactors, kak_decompose
 from .lattice import closest_lattice_point
 from .linalg import expm
 from .pauli import CartanSplit, random_hamiltonian
@@ -55,7 +55,7 @@ def optimal_cost(u, split: CartanSplit) -> CostReport:
     ``sqrt(2) * min_m |z - m pi|``.
     """
     factors = kak_decompose(u, split)
-    phases = eigenphases(factors)
+    phases = factors.phases
     point = closest_lattice_point(phases)
     shifted = phases - np.pi * point
     return CostReport(

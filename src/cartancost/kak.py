@@ -24,10 +24,9 @@ from .linalg import (
     log_special_orthogonal,
     project_special,
 )
-from .pauli import CartanSplit, Hamiltonian, hermitian_coefficients
+from .pauli import CartanSplit, dense_basis, hermitian_coefficients
 
-__all__ = ["KakFactors", "kak_decompose", "reconstruct", "eigenphases",
-           "canonicalize_phases"]
+__all__ = ["KakFactors", "kak_decompose", "reconstruct", "canonicalize_phases"]
 
 _TWO_PI = 2.0 * np.pi
 _PHASE_SUM_TOL = 1e-6  # largest accepted distance of the phase sum from a multiple of pi
@@ -70,18 +69,19 @@ def canonicalize_phases(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KakFactors:
-    """The Hamiltonian triple (l, z, m) and the adapted-frame factors.
+    """The generator triple (l, z, m) and the adapted-frame factors.
 
-    ``l`` and ``m`` live on the split's l-basis, ``z`` on its z-basis.  In
-    the adapted frame ``a`` and ``b`` are real special orthogonal and
-    ``d = diag(exp(i phases))``, with ``phases`` the read-only canonical
-    eigenphase vector; the source unitary (projected into SU) equals
-    ``q (a d b^T) q^+``.
+    ``l``, ``z`` and ``m`` are read-only coefficient rows over
+    ``pauli_strings(n)``, zero off the split's l-basis (``l``, ``m``) or
+    z-basis (``z``).  In the adapted frame ``a`` and ``b`` are real special
+    orthogonal and ``d = diag(exp(i phases))``, with ``phases`` the read-only
+    canonical eigenphase vector; the source unitary (projected into SU)
+    equals ``q (a d b^T) q^+``.
     """
 
-    l: Hamiltonian
-    z: Hamiltonian
-    m: Hamiltonian
+    l: np.ndarray
+    z: np.ndarray
+    m: np.ndarray
     a: np.ndarray = field(repr=False)
     phases: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
@@ -104,11 +104,13 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
     real orthogonal O, canonicalize the principal halved phases of E, order
     O's columns to match as B (det +1), recover A = V B D^{-1} (real special
     orthogonal by construction), and map the matrix logarithms back to
-    Hamiltonians.
+    coefficient rows.
     """
     if split.type != "AI":
         raise PreconditionError("not a Cartan split" if split.type is None
                                 else f"split of type {split.type}: only type AI is priced")
+    if not split.z_maximal:
+        raise PreconditionError("the split's z is not a maximal commuting subset of p")
     frame = split.adapted
     if not frame.ok:
         raise PreconditionError(
@@ -150,11 +152,11 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
 
 
 def _legs(split: CartanSplit, log_a, phases, log_bt):
-    """Hamiltonians (l, z, m) of the frame factors exp(log_a), diag(exp(i phases))
-    and exp(log_bt), each restricted to its basis; a leak raises NumericalFailure.
-    The three generators are expanded by one stacked call; a leak is the trace
-    norm of a row outside its basis mask."""
-    q, n, dim = split.q, split.n, 2**split.n
+    """Coefficient rows (l, z, m), as one read-only array, of the frame factors
+    exp(log_a), diag(exp(i phases)) and exp(log_bt), each zeroed off its basis;
+    a leak raises NumericalFailure.  The three generators are expanded by one
+    stacked call; a leak is the trace norm of a row outside its basis mask."""
+    q, dim = split.q, 2**split.n
     gens = np.stack([-1j * log_a, np.diag(phases).astype(complex), -1j * log_bt])
     rows = hermitian_coefficients(q @ gens @ q.conj().T)
     masks = np.stack([split.l_mask, split.z_mask, split.l_mask])
@@ -166,15 +168,15 @@ def _legs(split: CartanSplit, log_a, phases, log_bt):
             raise NumericalFailure(
                 f"factor {name} leaks outside its subspace", residual=float(leak)
             )
-    return tuple(Hamiltonian(n, row) for row in np.where(masks, rows, 0.0))
+    legs = np.where(masks, rows, 0.0)
+    legs.setflags(write=False)
+    return legs
 
 
 def reconstruct(f: KakFactors) -> np.ndarray:
     """exp(i l) exp(i z) exp(i m) as a dense matrix."""
-    el, ez, em = expm(1j * np.stack([f.l.to_matrix(), f.z.to_matrix(), f.m.to_matrix()]))
+    stack = dense_basis(f.split.n)[1]
+    flat = stack.reshape(len(stack), -1)
+    el, ez, em = expm(1j * np.stack([(row @ flat).reshape(stack.shape[1:])
+                                     for row in (f.l, f.z, f.m)]))
     return el @ ez @ em
-
-
-def eigenphases(f: KakFactors) -> np.ndarray:
-    """Canonical eigenphase vector of the diagonal factor."""
-    return f.phases

@@ -3,11 +3,11 @@
 Pauli strings are plain letter strings over ``IXYZ`` ("XZ" means X on qubit 0
 and Z on qubit 1).  ``pauli_strings(n)`` fixes one order of the 4**n - 1
 non-identity strings, and a Hermitian operator (class :class:`Hamiltonian`)
-is its real coefficient vector in that order.  Sums, restrictions to a basis
-list and the trace inner product ``tr(AB) = 2**n * (a . b)`` are vector
-operations, because distinct strings are trace orthogonal and every string
-squares to the identity.  The dense matrix is one contraction with
-``dense_basis(n)``; commutators are taken on dense matrices.
+is its real coefficient vector in that order.  The trace inner product
+``tr(AB) = 2**n * (a . b)`` is a vector operation, because distinct strings
+are trace orthogonal and every string squares to the identity.  The dense
+matrix is one contraction with ``dense_basis(n)``; commutators are taken on
+dense matrices.
 
 Each string also has one integer code: the string read as a base-4 number
 with I, X, Y, Z = 0, 1, 2, 3, so the identity is 0 and ``pauli_strings(n)[k]``
@@ -36,7 +36,6 @@ import numpy as np
 from .errors import PreconditionError
 
 __all__ = [
-    "pauli_product",
     "pauli_matrix",
     "pauli_strings",
     "dense_basis",
@@ -94,25 +93,6 @@ def _anticommute(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Boolean matrix: True where string code ``a[i]`` anticommutes with ``b[j]``."""
     (xa, za), (xb, zb) = _xz(a[:, None], n), _xz(b[None, :], n)
     return np.bitwise_count((xa & zb) ^ (za & xb)) & 1 == 1
-
-
-def pauli_product(p: str, q: str) -> tuple[complex, str]:
-    """Product of two Pauli strings: matrix(p) @ matrix(q) = phase * matrix(r).
-
-    ``r`` has the XOR of the codes of ``p`` and ``q``; with ``#Y`` the count
-    of Y letters the phase is ``i**(#Y(p) + #Y(q) - #Y(r) + 2 |z_p & x_q|)``.
-    """
-    if len(p) != len(q):
-        raise PreconditionError("strings act on different qubit counts")
-    if (p + q).strip("IXYZ"):  # a digit would otherwise read as its own code
-        raise PreconditionError(f"{p!r} or {q!r} has a letter outside IXYZ")
-    n = len(p)
-    a, b = _code(p), _code(q)
-    r = a ^ b
-    (xa, za), (xb, zb), (xr, zr) = _xz(a, n), _xz(b, n), _xz(r, n)
-    power = (xa & za).bit_count() + (xb & zb).bit_count() - (xr & zr).bit_count()
-    power += 2 * (za & xb).bit_count()
-    return 1j ** (power % 4), "".join("IXYZ"[r >> 2 * k & 3] for k in reversed(range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -173,8 +153,7 @@ class Hamiltonian:
     """A Hermitian operator as its real coefficient vector over ``pauli_strings(n)``.
 
     Built from a ``{string: coefficient}`` map or from one coefficient per
-    string in ``pauli_strings(n)`` order.  ``vec`` is read-only; arithmetic
-    returns new instances.
+    string in ``pauli_strings(n)`` order.  ``vec`` is read-only.
     """
 
     __slots__ = ("n", "vec")
@@ -191,41 +170,9 @@ class Hamiltonian:
         self.n = n
         self.vec = vec
 
-    @property
-    def coeffs(self) -> dict[str, float]:
-        """The nonzero terms as a ``{string: coefficient}`` map."""
-        return {s: float(c) for s, c in zip(pauli_strings(self.n), self.vec) if c != 0.0}
-
-    def __repr__(self):
-        terms = ", ".join(f"{s}: {c:+.4g}" for s, c in sorted(self.coeffs.items()))
-        return f"Hamiltonian(n={self.n}, {{{terms}}})"
-
-    def _same_n(self, other: "Hamiltonian") -> None:
-        if self.n != other.n:
-            raise PreconditionError("operands act on different qubit counts")
-
-    def __add__(self, other: "Hamiltonian") -> "Hamiltonian":
-        self._same_n(other)
-        return Hamiltonian(self.n, self.vec + other.vec)
-
-    def __sub__(self, other: "Hamiltonian") -> "Hamiltonian":
-        self._same_n(other)
-        return Hamiltonian(self.n, self.vec - other.vec)
-
-    def __mul__(self, scalar: float) -> "Hamiltonian":
-        return Hamiltonian(self.n, self.vec * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Hamiltonian":
-        return self * -1.0
-
     def norm(self) -> float:
         """Trace norm sqrt(tr(H^2)) with unnormalized strings (tr P^2 = 2**n)."""
         return float(np.sqrt(2**self.n * (self.vec * self.vec).sum()))
-
-    def restrict(self, strings) -> "Hamiltonian":
-        return Hamiltonian(self.n, np.where(_mask(self.n, strings), self.vec, 0.0))
 
     def to_matrix(self) -> np.ndarray:
         stack = dense_basis(self.n)[1]
@@ -258,7 +205,8 @@ def hermitian_coefficients(m: np.ndarray) -> np.ndarray:
 
 def trace_inner_product(a: Hamiltonian, b: Hamiltonian) -> float:
     """tr(AB) computed in coefficient space."""
-    a._same_n(b)
+    if a.n != b.n:
+        raise PreconditionError("operands act on different qubit counts")
     # product then sum rather than a dot: no fused multiply-add, so short
     # sums round exactly as a plain loop does
     return float(2**a.n * (a.vec * b.vec).sum())
@@ -277,13 +225,13 @@ def random_hamiltonian(n: int, strings, rng, norm: float | None = None) -> Hamil
     values = rng.standard_normal(len(strings))
     h = Hamiltonian(n, dict(zip(strings, values)))
     if norm is not None and h.norm() > 0:
-        h = h * (norm / h.norm())
+        h = Hamiltonian(n, h.vec * (norm / h.norm()))
     return h
 
 
 def support_residual(h: Hamiltonian, strings) -> float:
     """Trace norm of the component of ``h`` outside the span of ``strings``."""
-    return (h - h.restrict(strings)).norm()
+    return Hamiltonian(h.n, np.where(_mask(h.n, strings), 0.0, h.vec)).norm()
 
 
 # -- Cartan splits -------------------------------------------------------------
@@ -310,6 +258,12 @@ class CartanSplit:
     def adapted(self) -> "AdaptedBasisReport":
         """:func:`adapted_basis_properties` of the frame, computed once per split."""
         return adapted_basis_properties(self)
+
+    @cached_property
+    def z_maximal(self) -> bool:
+        """True iff z lies in p and is commuting and maximal there
+        (:func:`verify_maximal_abelian`), computed once per split."""
+        return set(self.z_basis) <= set(self.p_basis) and verify_maximal_abelian(self)
 
     @property
     def type(self) -> str | None:

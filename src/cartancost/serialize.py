@@ -20,14 +20,14 @@ from .control import SweepResult
 from .cost import CostReport
 from .errors import PreconditionError
 from .kak import KakFactors
-from .pauli import CartanSplit, Hamiltonian, pauli_strings
+from .pauli import CartanSplit, pauli_strings
 
 __all__ = [
     "ParseError",
     "dumps_canonical",
     "matrix_to_json",
     "matrix_from_json",
-    "hamiltonian_to_json",
+    "coefficients_to_json",
     "split_to_json",
     "split_from_json",
     "factors_to_json",
@@ -134,10 +134,11 @@ def matrix_from_json(doc) -> np.ndarray:
     return re + 1j * im
 
 
-def hamiltonian_to_json(h: Hamiltonian) -> dict:
-    """The nonzero coefficients by string, in ``pauli_strings(n)`` order, which
-    is sorted order (I < X < Y < Z)."""
-    return {s: c for s, c in zip(pauli_strings(h.n), h.vec.tolist()) if c != 0.0}
+def coefficients_to_json(row: np.ndarray) -> dict:
+    """The nonzero entries of a coefficient row over ``pauli_strings(n)`` by
+    string, in that order, which is sorted order (I < X < Y < Z)."""
+    strings = pauli_strings((len(row) + 1).bit_length() // 2)  # 4**n - 1 entries
+    return {s: c for s, c in zip(strings, row.tolist()) if c != 0.0}
 
 
 def split_to_json(split: CartanSplit) -> dict:
@@ -175,9 +176,9 @@ def split_from_json(doc) -> CartanSplit:
 def factors_to_json(f: KakFactors, residual: float | None = None) -> dict:
     doc = {
         "split": f.split.kind,
-        "L": hamiltonian_to_json(f.l),
-        "Z": hamiltonian_to_json(f.z),
-        "M": hamiltonian_to_json(f.m),
+        "L": coefficients_to_json(f.l),
+        "Z": coefficients_to_json(f.z),
+        "M": coefficients_to_json(f.m),
         "A": matrix_to_json(f.a),
         "D": matrix_to_json(f.d),
         "B": matrix_to_json(f.b),

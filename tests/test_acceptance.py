@@ -208,7 +208,7 @@ def test_criterion_7_bch_defect_order():
             b = mt.bch_operator(l, p, terms=20)
 
             def defect(delta):
-                lhs = la.expm(1j * (l + delta * p).to_matrix())
+                lhs = la.expm(1j * (l.to_matrix() + delta * p.to_matrix()))
                 rhs = la.expm(1j * delta * b.to_matrix()) @ la.expm(1j * l.to_matrix())
                 return np.linalg.norm(lhs - rhs)
 

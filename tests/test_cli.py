@@ -254,6 +254,22 @@ class TestSplitFrame:
         assert code == 0 and err == "" and json.loads(out)["reconstruction_residual"] < 1e-12
 
 
+class TestSplitZ:
+    """cost, decompose and sweep refuse a split whose z is not a maximal
+    commuting subset of p (exit 3), before its frame is checked."""
+
+    @pytest.mark.parametrize("z", [["XX"], [], ["XX", "YY", "ZZ", "IX"]],
+                             ids=["not_maximal", "empty", "outside_p"])
+    def test_bad_z_refused(self, tmp_path, capsys, z):
+        split = write_split(tmp_path, "split.json", {**_two_local_doc(pauli.MAGIC_BASIS), "z": z})
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
+        for command in ("cost", "decompose", "sweep"):
+            code, out, err = run_main(capsys, command, u, "--split-file", split)
+            assert code == 3, command
+            assert out == ""
+            assert err == "error: the split's z is not a maximal commuting subset of p\n"
+
+
 class TestVerifySplit:
     def test_builtin_passes(self, capsys):
         code, out, _ = run_main(capsys, "verify-split", "--split", "ai", "--n", "3")
@@ -451,10 +467,11 @@ class TestRandom:
         u = matrix_from_json(json.loads(out1))
         assert la.is_unitary(u, 1e-10) and abs(np.linalg.det(u) - 1) <= 1e-10
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
+    def test_seed_defaults_to_zero(self, capsys, monkeypatch):
+        # --seed alone decides; no environment variable stands in for it
         monkeypatch.setenv("CARTAN_SEED", "123")
         _, out1, _ = run_main(capsys, "random", "--n", "1")
-        _, out2, _ = run_main(capsys, "random", "--n", "1", "--seed", "123")
+        _, out2, _ = run_main(capsys, "random", "--n", "1", "--seed", "0")
         assert out1 == out2
 
     @pytest.mark.parametrize("n", ["0", "5", "40"])

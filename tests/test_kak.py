@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from cartancost import kak, pauli
 from cartancost import linalg as la
+from cartancost.cli import main
 from cartancost.cost import optimal_cost
 from cartancost.errors import NumericalFailure, PreconditionError
+from cartancost.serialize import dumps_canonical, matrix_to_json
 
 
 def roundtrip_residual(u, split):
@@ -42,7 +46,7 @@ class TestKakRoundTrip:
     def test_identity(self):
         split = pauli.builtin_split(2, "two_local")
         f = kak.kak_decompose(np.eye(4, dtype=complex), split)
-        assert f.l.norm() == 0.0 and f.z.norm() == 0.0 and f.m.norm() == 0.0
+        assert not (f.l.any() or f.z.any() or f.m.any())
         assert np.allclose(kak.reconstruct(f), np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -82,7 +86,7 @@ class TestKakRoundTrip:
         u = np.diag(np.exp(1j * np.array([np.pi / 2, np.pi / 4, np.pi / 4, -np.pi])))
         f, res = roundtrip_residual(u, pauli.builtin_split(2, "ai"))
         assert res < 1e-8
-        z = kak.eigenphases(f)
+        z = f.phases
         assert np.all(z > -np.pi) and np.all(z <= np.pi)
         assert z.sum() == 0
 
@@ -94,21 +98,34 @@ class TestKakRoundTrip:
             z0 = pauli.random_hamiltonian(2, split.z_basis, rng, norm=0.8)
             raw = np.real(np.diagonal(z0.to_matrix()))
             if np.max(np.abs(raw)) >= np.pi / 2 - 0.05:
-                z0 = z0 * ((np.pi / 2 - 0.1) / np.max(np.abs(raw)))
+                z0 = pauli.Hamiltonian(2, z0.vec * ((np.pi / 2 - 0.1) / np.max(np.abs(raw))))
                 raw = np.real(np.diagonal(z0.to_matrix()))
             u = la.expm(1j * z0.to_matrix())
             f, res = roundtrip_residual(u, split)
             assert res < 1e-8
-            assert np.allclose(kak.eigenphases(f), kak.canonicalize_phases(raw), atol=1e-9)
+            assert np.allclose(f.phases, kak.canonicalize_phases(raw), atol=1e-9)
 
     def test_subspace_membership(self):
         split = pauli.builtin_split(4, "ai")
         u = la.haar_random_special_unitary(16, 7)
         f = kak.kak_decompose(u, split)
-        assert set(f.l.coeffs) <= set(split.l_basis)
-        assert set(f.m.coeffs) <= set(split.l_basis)
-        assert set(f.z.coeffs) <= set(split.z_basis)
+        assert not f.l[~split.l_mask].any() and not f.m[~split.l_mask].any()
+        assert not f.z[~split.z_mask].any()
         assert la.frobenius_distance(kak.reconstruct(f), u) < 1e-8
+
+    @pytest.mark.parametrize("n,kind", [(1, "single_x"), (2, "two_local"), (3, "ai")])
+    def test_legs_are_read_only_rows_of_the_decompose_maps(self, tmp_path, capsys, n, kind):
+        u = la.haar_random_special_unitary(2**n, 11)
+        path = tmp_path / "u.json"
+        path.write_text(dumps_canonical(matrix_to_json(u)))
+        assert main(["decompose", str(path), "--split", kind]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        f = kak.kak_decompose(u, pauli.builtin_split(n, kind))
+        for row, name in ((f.l, "L"), (f.z, "Z"), (f.m, "M")):
+            assert row.dtype == float and row.shape == (4**n - 1,)
+            assert not row.flags.writeable
+            nonzero = {s: float(c) for s, c in zip(pauli.pauli_strings(n), row) if c != 0.0}
+            assert nonzero == doc[name]
 
     def test_global_phase_projection(self):
         split = pauli.builtin_split(2, "two_local")
@@ -138,6 +155,15 @@ class TestKakRoundTrip:
             kak.kak_decompose(u, magic)
         assert calls == [plain, magic]
 
+    @pytest.mark.parametrize("z", [("XX",), (), ("XX", "YY", "ZZ", "IX")])
+    def test_bad_z_refused_before_the_frame(self, monkeypatch, z):
+        base = pauli.builtin_split(2, "two_local")
+        split = pauli.CartanSplit(2, base.l_basis, base.p_basis, z, base.q)
+        monkeypatch.setattr(pauli, "adapted_basis_properties", None)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="split's z is not a maximal commuting"):
+                kak.kak_decompose(la.haar_random_special_unitary(4, 3), split)
+
     def test_not_unitary(self):
         with pytest.raises(PreconditionError):
             kak.kak_decompose(np.diag([1.0, 2.0, 1.0, 1.0]), pauli.builtin_split(2, "two_local"))
@@ -162,13 +188,13 @@ class TestEigenphases:
     def test_identity_all_zero(self):
         split = pauli.builtin_split(2, "two_local")
         f = kak.kak_decompose(np.eye(4, dtype=complex), split)
-        assert np.allclose(kak.eigenphases(f), 0.0)
+        assert np.allclose(f.phases, 0.0)
 
     def test_single_qubit_readoff(self):
         split = pauli.builtin_split(1, "single_x")
         u = la.expm(-1j * 0.3 * pauli.pauli_matrix("Z"))
         f = kak.kak_decompose(u, split)
-        assert np.allclose(kak.eigenphases(f), [0.3, -0.3], atol=1e-12)
+        assert np.allclose(f.phases, [0.3, -0.3], atol=1e-12)
 
     def test_isometry(self):
         # trace norm of the central factor equals the euclidean phase norm
@@ -177,8 +203,9 @@ class TestEigenphases:
         for seed in range(50):
             u = la.haar_random_special_unitary(4, 2000 + seed)
             f = kak.kak_decompose(u, split)
-            ph = kak.eigenphases(f)
-            assert abs(pauli.trace_inner_product(f.z, f.z) - (ph**2).sum()) < 1e-10
+            ph = f.phases
+            z = pauli.Hamiltonian(2, f.z)
+            assert abs(pauli.trace_inner_product(z, z) - (ph**2).sum()) < 1e-10
             assert abs(ph.sum()) < 1e-12
             assert np.all(np.diff(ph) <= 1e-15)
 
@@ -186,7 +213,7 @@ class TestEigenphases:
 # -- reference implementations -------------------------------------------------
 
 def _ref_legs(split, log_a, phases, log_bt):
-    """One Hamiltonian expansion, leak check and restriction per leg."""
+    """One Hamiltonian expansion, leak check and masked row per leg."""
     q = split.q
     legs = []
     for name, dense, basis in (
@@ -198,13 +225,14 @@ def _ref_legs(split, log_a, phases, log_bt):
         leak = pauli.support_residual(h, basis)
         if leak > 1e-9 * max(1.0, h.norm()):
             raise NumericalFailure(f"factor {name} leaks outside its subspace", residual=leak)
-        legs.append(h.restrict(basis))
+        legs.append(np.where(pauli._mask(split.n, basis), h.vec, 0.0))
     return tuple(legs)
 
 
 def _ref_reconstruct(f):
-    """One exponential per leg."""
-    l, z, m = (la.expm(1j * h.to_matrix()) for h in (f.l, f.z, f.m))
+    """One Hamiltonian and one exponential per leg."""
+    l, z, m = (la.expm(1j * pauli.Hamiltonian(f.split.n, row).to_matrix())
+               for row in (f.l, f.z, f.m))
     return l @ z @ m
 
 
@@ -220,10 +248,10 @@ class TestReferenceEquivalence:
         for seed in range(5):
             u = la.haar_random_special_unitary(2**n, 300 + seed)
             f = kak.kak_decompose(u, split)
-            args = (la.log_special_orthogonal(f.a), kak.eigenphases(f),
+            args = (la.log_special_orthogonal(f.a), f.phases,
                     la.log_special_orthogonal(f.b.T))
             for got, want in zip(kak._legs(split, *args), _ref_legs(split, *args)):
-                assert got.n == want.n and np.array_equal(got.vec, want.vec)
+                assert np.array_equal(got, want)
             assert np.array_equal(kak.reconstruct(f), _ref_reconstruct(f))
 
     @pytest.mark.parametrize("leg", ["l", "z", "m"])

@@ -70,10 +70,10 @@ def random_base(split, rng, norms=(0.8, 0.8, 0.8)):
 
 
 def _ref_hamiltonian_cost(h, metric):
-    """sqrt(eps * |P_l H|^2 + |P_p H|^2) by restriction and the trace inner
+    """sqrt(eps * |P_l H|^2 + |P_p H|^2) by projection and the trace inner
     product: the per-Hamiltonian form that ``PenaltyMetric.cost`` replaced."""
-    hl = h.restrict(metric.split.l_basis)
-    hp = h.restrict(metric.split.p_basis)
+    hl, hp = (pauli.Hamiltonian(h.n, np.where(pauli._mask(h.n, basis), h.vec, 0.0))
+              for basis in (metric.split.l_basis, metric.split.p_basis))
     return float(
         np.sqrt(
             metric.epsilon * pauli.trace_inner_product(hl, hl)
@@ -133,12 +133,12 @@ class TestHamiltonianCost:
 class TestBchOperator:
     def test_zero_exponent(self):
         p = pauli.Hamiltonian(1, {"Y": 0.8})
-        assert (mt.bch_operator(pauli.Hamiltonian(1), p) - p).norm() == 0.0
+        assert np.array_equal(mt.bch_operator(pauli.Hamiltonian(1), p).vec, p.vec)
 
     def test_commuting_collapse(self):
         l = pauli.Hamiltonian(1, {"X": 0.5})
         p = pauli.Hamiltonian(1, {"X": -1.2})
-        assert (mt.bch_operator(l, p) - p).norm() < 1e-14
+        assert np.sqrt(2 * ((mt.bch_operator(l, p).vec - p.vec) ** 2).sum()) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_defect_is_second_order(self, n):
@@ -149,7 +149,7 @@ class TestBchOperator:
             b = mt.bch_operator(l, p, terms=20)
 
             def defect(delta):
-                lhs = expm(1j * (l + delta * p).to_matrix())
+                lhs = expm(1j * (l.to_matrix() + delta * p.to_matrix()))
                 rhs = expm(1j * delta * b.to_matrix()) @ expm(1j * l.to_matrix())
                 return np.linalg.norm(lhs - rhs)
 

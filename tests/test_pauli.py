@@ -10,23 +10,41 @@ from cartancost.linalg import expm
 BUILTIN = [(1, "single_x"), (2, "two_local"), (1, "ai"), (2, "ai"), (3, "ai"), (4, "ai")]
 
 
+def _product(p, q):
+    """matrix(p) @ matrix(q) = phase * matrix(r) from the module's codes: r has
+    the XOR of the codes of p and q, and with #Y the count of Y letters (the
+    bits x & z) the phase is i**(#Y(p) + #Y(q) - #Y(r) + 2 |z_p & x_q|)."""
+    n = len(p)
+    a, b = pa._code(p), pa._code(q)
+    r = a ^ b
+    (xa, za), (xb, zb), (xr, zr) = pa._xz(a, n), pa._xz(b, n), pa._xz(r, n)
+    power = (xa & za).bit_count() + (xb & zb).bit_count() - (xr & zr).bit_count()
+    power += 2 * (za & xb).bit_count()
+    return 1j ** (power % 4), "".join("IXYZ"[r >> 2 * k & 3] for k in reversed(range(n)))
+
+
 class TestProducts:
+    """The string codes and their symplectic bits, on which the split checks
+    run, reproduce the dense Pauli products."""
+
     def test_single_qubit_table(self):
-        assert pa.pauli_product("X", "Y") == (1j, "Z")
-        assert pa.pauli_product("Y", "X") == (-1j, "Z")
-        assert pa.pauli_product("Z", "X") == (1j, "Y")
+        assert _product("X", "Y") == (1j, "Z")
+        assert _product("Y", "X") == (-1j, "Z")
+        assert _product("Z", "X") == (1j, "Y")
 
     def test_tensor_factorwise(self):
-        assert pa.pauli_product("XZ", "YZ") == (1j, "ZI")
+        assert _product("XZ", "YZ") == (1j, "ZI")
 
     def test_rejects_other_letters(self):
+        # a digit would otherwise read as its own code in the bit checks
         for p in ("1", "Q", "X3"):
+            split = pa.CartanSplit(len(p), (p,), ("X" * len(p),), (), np.eye(2 ** len(p)))
             with pytest.raises(PreconditionError):
-                pa.pauli_product(p, "X" * len(p))
+                pa.verify_cartan_split(split)
 
     def test_involution(self):
         for s in pa.pauli_strings(2):
-            assert pa.pauli_product(s, s) == (1, "II")
+            assert _product(s, s) == (1, "II")
 
     def test_dense_agreement_all_pairs(self):
         pairs = [
@@ -38,7 +56,7 @@ class TestProducts:
         rng = np.random.default_rng(11)
         pairs += [(four[i], four[j]) for i, j in rng.integers(0, len(four), size=(600, 2))]
         for s, t in pairs:
-            ph, r = pa.pauli_product(s, t)
+            ph, r = _product(s, t)
             lhs = pa.pauli_matrix(s) @ pa.pauli_matrix(t)
             assert np.allclose(lhs, ph * pa.pauli_matrix(r), atol=1e-12)
 
@@ -56,9 +74,9 @@ class TestProducts:
                     - pa.pauli_matrix(t) @ pa.pauli_matrix(s)
                 )
                 assert np.linalg.norm(com.to_matrix() - dense) < 1e-12
-                ph, r = pa.pauli_product(s, t)
+                ph, r = _product(s, t)
                 want = np.zeros(len(strings))
-                if pa.pauli_product(t, s)[0] != ph:
+                if _product(t, s)[0] != ph:
                     assert ph.real == 0.0
                     want[strings.index(r)] = (2j * ph).real
                 assert np.max(np.abs(com.vec - want)) < 1e-12
@@ -89,7 +107,7 @@ class TestHamiltonian:
         rng = np.random.default_rng(2)
         h = pa.random_hamiltonian(3, pa.pauli_strings(3), rng)
         back = pa.Hamiltonian.from_matrix(h.to_matrix())
-        assert (h - back).norm() < 1e-10
+        assert np.sqrt(8 * ((h.vec - back.vec) ** 2).sum()) < 1e-10
 
     def test_from_matrix_rejects_non_hermitian(self):
         with pytest.raises(PreconditionError):
@@ -103,27 +121,20 @@ class TestHamiltonian:
 
     def test_mixed_qubit_counts_rejected(self):
         one, two = pa.Hamiltonian(1, {"X": 1.0}), pa.Hamiltonian(2, {"XX": 1.0})
-        for op in (lambda a, b: a + b, lambda a, b: a - b, pa.trace_inner_product):
-            with pytest.raises(PreconditionError):
-                op(one, two)
+        with pytest.raises(PreconditionError, match="different qubit counts"):
+            pa.trace_inner_product(one, two)
 
+    def test_support_residual(self):
+        h = pa.Hamiltonian(2, {"XX": 0.6, "IZ": 0.8})
+        assert pa.support_residual(h, ("XX", "IZ")) == 0.0
+        assert pa.support_residual(h, ("XX",)) == pytest.approx(2 * 0.8, abs=1e-15)
+        assert pa.support_residual(h, ()) == h.norm()
 
-class TestProjection:
-    def test_basic(self):
-        split = pa.builtin_split(1, "single_x")
-        h = pa.Hamiltonian(1, {"X": 1.0, "Z": 1.0})
-        assert h.restrict(split.l_basis).coeffs == {"X": 1.0}
-        assert h.restrict(split.p_basis).coeffs == {"Z": 1.0}
-
-    def test_idempotent_and_complete(self):
-        rng = np.random.default_rng(3)
-        split = pa.builtin_split(2, "two_local")
-        h = pa.random_hamiltonian(2, pa.pauli_strings(2), rng)
-        hl = h.restrict(split.l_basis)
-        hp = h.restrict(split.p_basis)
-        assert (hl.restrict(split.l_basis) - hl).norm() == 0.0
-        assert (hl + hp - h).norm() == 0.0
-        assert pa.trace_inner_product(hl, hp) == 0.0
+    def test_random_hamiltonian_rescaled(self):
+        rng = np.random.default_rng(4)
+        h = pa.random_hamiltonian(2, ("XX", "YY"), rng, norm=0.7)
+        assert h.norm() == pytest.approx(0.7, abs=1e-15)
+        assert not h.vec[~pa._mask(2, ("XX", "YY"))].any()
 
 
 # -- the former string-by-string split checks, kept as references -----------
@@ -310,6 +321,21 @@ class TestSplits:
         split = pa.builtin_split(2, "two_local")
         shrunk = pa.CartanSplit(2, split.l_basis, split.p_basis, ("XX",), split.q)
         assert not pa.verify_maximal_abelian(shrunk)
+
+    @pytest.mark.parametrize("n,kind,z,maximal", [
+        (2, "two_local", ("XX", "YY", "ZZ"), True), (2, "two_local", ("XY", "YX", "ZZ"), True),
+        (2, "two_local", ("XX",), False), (2, "two_local", (), False),
+        (2, "two_local", ("XX", "YY", "ZZ", "IX"), False),
+        # commuting, and as many p strings commute with it as it has members,
+        # but YII lies in l
+        (3, "ai", ("IIX", "IXI", "YII"), False)])
+    def test_z_maximal(self, monkeypatch, n, kind, z, maximal):
+        # z inside p, commuting and maximal there; computed once per split
+        base = pa.builtin_split(n, kind)
+        split = pa.CartanSplit(n, base.l_basis, base.p_basis, z, base.q)
+        assert split.z_maximal is maximal
+        monkeypatch.setattr(pa, "verify_maximal_abelian", None)
+        assert split.z_maximal is maximal
 
     @pytest.mark.parametrize("n,kind", BUILTIN)
     def test_builtin_splits_are_involution_eigenspaces(self, n, kind):

@@ -93,6 +93,9 @@ SPLIT_DOCS = [
                  "p": ["IX", *TWO_LOCAL["p"][1:]], "Q": MAGIC}, 2),
     # two_local lists with the identity frame, which is not adapted to them
     ("two_local_no_q", TWO_LOCAL, 2),
+    # the magic frame with a z that is not maximal, or empty: exit 3 naming z
+    ("z_not_maximal", {**TWO_LOCAL, "z": ["XX"], "Q": MAGIC}, 2),
+    ("z_empty", {**TWO_LOCAL, "z": [], "Q": MAGIC}, 2),
 ]
 
 
@@ -173,7 +176,6 @@ def run(argv) -> tuple[int, str, str]:
 
 def write_corpus(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    os.environ.pop("CARTAN_SEED", None)  # every seeded call passes --seed
     for name, doc, _ in SPLIT_DOCS:
         (outdir / f"split_{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
     for name, doc, _ in MATRIX_DOCS:
