@@ -10,7 +10,7 @@ this problem domain.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NumericalFailure, PreconditionError
 
@@ -35,9 +35,12 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def is_unitary(m, tol: float = 1e-10) -> bool:
+    """Whether ``|m^+ m - I|_F <= tol``; false, without a warning, when the
+    residual overflows or ``m`` holds NaN or inf."""
     m = _as_matrix(m)
     eye = np.eye(m.shape[0])
-    return np.linalg.norm(m.conj().T @ m - eye) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(m.conj().T @ m - eye) <= tol
 
 
 def is_symmetric(m, tol: float = 1e-10) -> bool:
@@ -200,26 +203,43 @@ def diag_symmetric_unitary(msym) -> tuple[np.ndarray, np.ndarray]:
 
 # -- real logarithm of a special orthogonal matrix ----------------------------
 
+_DGEES = get_lapack_funcs("gees", dtype=np.float64)
+
+
+def _no_sort(re, im):  # dgees takes a selector even when it does not sort
+    return 0
+
+
 def log_special_orthogonal(o) -> np.ndarray:
     """Real antisymmetric logarithm of a real special orthogonal matrix.
 
-    Planar rotation angles are taken in (-pi, pi].  Eigenvalue -1 always has
-    even multiplicity here (det +1); such eigenvalues are paired into explicit
-    rotation-by-pi planes.
+    The real Schur form comes from one LAPACK ``dgees`` call, without SciPy's
+    input checks and workspace query (``lwork = max(1, 3n)``); NaN, inf or an
+    overflowing ``o^T o`` fail the orthogonality test with PreconditionError
+    before it.  Planar rotation angles are taken in (-pi, pi].  Eigenvalue -1
+    always has even multiplicity here (det +1); such eigenvalues are paired
+    into explicit rotation-by-pi planes.
     """
     o = np.asarray(o)
-    if np.iscomplexobj(o):
-        if np.linalg.norm(o.imag) > 1e-8:
-            raise PreconditionError("input is not real")
-        o = o.real
-    o = np.asarray(o, dtype=float)
     n = o.shape[0]
-    if np.linalg.norm(o.T @ o - np.eye(n)) > 1e-8:
-        raise PreconditionError("input is not orthogonal")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.iscomplexobj(o):
+            if not np.linalg.norm(o.imag) <= 1e-8:
+                raise PreconditionError("input is not real")
+            o = o.real
+        o = np.asarray(o, dtype=float)
+        if not np.linalg.norm(o.T @ o - np.eye(n)) <= 1e-8:
+            raise PreconditionError("input is not orthogonal")
     if np.linalg.det(o) < 0:
         raise PreconditionError("input has determinant -1")
+    if n == 0:  # dgees refuses an empty matrix
+        return np.zeros((0, 0))
 
-    t, q = scipy.linalg.schur(o, output="real")
+    t, _, _, _, q, _, info = _DGEES(_no_sort, o, lwork=max(1, 3 * n))
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     x = np.zeros((n, n))
     minus_ones = []
     i = 0

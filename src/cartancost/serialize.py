@@ -10,8 +10,10 @@ optional embedded frame matrix "Q".
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -49,6 +51,18 @@ def _fmt_float(x: float) -> str:
     return '"Infinity"' if x > 0 else '"-Infinity"'
 
 
+@functools.lru_cache(maxsize=64)
+def _row_template(width: int) -> str:
+    """A bracketed row of ``width`` float directives, for one ``%`` call."""
+    return "[" + ", ".join(["%.17g"] * width) + "]"
+
+
+def _finite_floats(values) -> bool:
+    """Whether every value is a finite plain float: what ``%.17g`` prints as
+    :func:`_fmt_float` would."""
+    return all(type(v) is float for v in values) and all(map(math.isfinite, values))
+
+
 def _render(obj, parts: list, level: int) -> None:
     pad = "  " * level
     pad_in = "  " * (level + 1)
@@ -66,6 +80,14 @@ def _render(obj, parts: list, level: int) -> None:
         if not obj:
             parts.append("{}")
             return
+        values = list(obj.values())
+        if _finite_floats(values):
+            # fast path: a coefficient map in one format call; a % in a key
+            # is escaped so that it stays text
+            keys = [_quote(str(k)).replace("%", "%%") for k in obj]
+            body = (": %.17g,\n" + pad_in).join(keys)
+            parts.append(("{\n" + pad_in + body + ": %.17g\n" + pad + "}") % tuple(values))
+            return
         parts.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             parts.append(f"{pad_in}{_quote(str(k))}: ")
@@ -77,9 +99,14 @@ def _render(obj, parts: list, level: int) -> None:
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if all(type(v) is float for v in seq) and all(map(math.isfinite, seq)):
+        if _finite_floats(seq):
             # fast path: a flat row of finite plain floats in one format call
-            parts.append("[" + ", ".join(["%.17g"] * len(seq)) % tuple(seq) + "]")
+            parts.append(_row_template(len(seq)) % tuple(seq))
+        elif (all(type(row) is list for row in seq)
+              and _finite_floats(flat := list(itertools.chain.from_iterable(seq)))):
+            # fast path: rows of finite plain floats (a matrix) in one format call
+            rows = (",\n" + pad_in).join([_row_template(len(row)) for row in seq])
+            parts.append(("[\n" + pad_in + rows + "\n" + pad + "]") % tuple(flat))
         elif all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
             inner = []
             for v in seq:
@@ -165,6 +192,11 @@ def split_from_json(doc) -> CartanSplit:
     for s in (*l, *p, *z):
         if len(s) != n or any(c not in "IXYZ" for c in s) or not s.strip("I"):
             raise ParseError(f"bad Pauli string {s!r}")
+    for key, strings in zip("lpz", (l, p, z)):
+        # a repeated string would inflate the counts the split checks compare
+        twice = next((s for s, k in Counter(strings).items() if k > 1), None)
+        if twice is not None:
+            raise ParseError(f"split document lists {twice!r} twice in {key!r}")
     if not 1 <= n <= 4:  # before the 2**n frame is built
         raise PreconditionError("supported qubit counts are 1..4")
     q = matrix_from_json(doc["Q"]) if "Q" in doc else np.eye(2**n, dtype=complex)

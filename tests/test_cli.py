@@ -114,6 +114,18 @@ class TestDecompose:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["decompose", "cost", "sweep"])
+    @pytest.mark.parametrize("entry", [1e308, 1e200])
+    def test_overflowing_entry_is_not_unitary(self, tmp_path, capsys, command, entry):
+        u = la.haar_random_special_unitary(4, 3)
+        u[0, 0] = entry
+        path = write_matrix(tmp_path, "big.json", u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(capsys, command, path)
+        assert code == 3 and out == ""
+        assert err == "error: input is not unitary within tolerance\n"
+
+    @pytest.mark.parametrize("command", ["decompose", "cost", "sweep"])
     def test_no_qubit_count_option(self, tmp_path, capsys, command):
         # the matrix fixes n; an --n that would be ignored is a parse error
         path = write_matrix(tmp_path, "id.json", np.eye(4))
@@ -268,6 +280,24 @@ class TestSplitZ:
             assert code == 3, command
             assert out == ""
             assert err == "error: the split's z is not a maximal commuting subset of p\n"
+
+
+class TestDuplicateStrings:
+    """A split document that lists a string twice within l, p or z is a parse
+    error (exit 2) naming the string, on every command that reads one."""
+
+    @pytest.mark.parametrize("key,twice", [("z", "XX"), ("p", "YY"), ("l", "IX")])
+    def test_refused(self, tmp_path, capsys, key, twice):
+        doc = _two_local_doc(pauli.MAGIC_BASIS)
+        doc[key] = [*doc[key], twice] if key != "z" else ["XX", "XX", "YY"]
+        assert doc[key].count(twice) == 2
+        split = write_split(tmp_path, "split.json", doc)
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
+        for args in (("verify-split",), ("cost", u), ("decompose", u), ("sweep", u)):
+            code, out, err = run_main(capsys, *args, "--split-file", split)
+            assert code == 2, args
+            assert out == ""
+            assert err == f"error: split document lists '{twice}' twice in '{key}'\n"
 
 
 class TestVerifySplit:

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cartancost import linalg as la
 from cartancost import pauli
@@ -22,6 +25,14 @@ class TestPredicates:
     def test_unitary(self):
         assert la.is_unitary(np.eye(3))
         assert not la.is_unitary(np.diag([1.0, 2.0]))
+
+    @pytest.mark.parametrize("entry", [1e308, 1e200, -1e200j, np.inf, np.nan])
+    def test_unitary_overflow_is_false_without_warning(self, entry):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not la.is_unitary(m)
 
     def test_structure_flags(self):
         m = np.array([[0, 1j], [1j, 0]])
@@ -187,6 +198,38 @@ class TestDiagSymmetricUnitary:
             la.diag_symmetric_unitary(u)
 
 
+def _ref_log_special_orthogonal(o):
+    """The logarithm from ``scipy.linalg.schur``, which checks its input and
+    queries the workspace size before the one LAPACK call."""
+    o = np.asarray(o, dtype=float)
+    n = o.shape[0]
+    t, q = scipy.linalg.schur(o, output="real")
+    x = np.zeros((n, n))
+    minus_ones = []
+    i = 0
+    while i < n:
+        if i + 1 < n and abs(t[i + 1, i]) > 1e-12:
+            c = (t[i, i] + t[i + 1, i + 1]) / 2.0
+            s = (t[i + 1, i] - t[i, i + 1]) / 2.0
+            theta = np.arctan2(s, c)
+            x[i, i + 1] = -theta
+            x[i + 1, i] = theta
+            i += 2
+        else:
+            if t[i, i] < 0.0:
+                minus_ones.append(i)
+            i += 1
+    for i, j in zip(minus_ones[::2], minus_ones[1::2]):
+        x[i, j] = -np.pi
+        x[j, i] = np.pi
+    x = q @ x @ q.T
+    return (x - x.T) / 2.0
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
 class TestLogSpecialOrthogonal:
     def test_identity(self):
         assert np.linalg.norm(la.log_special_orthogonal(np.eye(4))) == 0.0
@@ -215,6 +258,38 @@ class TestLogSpecialOrthogonal:
     def test_rejects_reflection(self):
         with pytest.raises(PreconditionError):
             la.log_special_orthogonal(np.diag([1.0, -1.0]))
+
+    def test_matches_scipy_schur_reference(self):
+        rng = np.random.default_rng(6)
+        cases = [random_special_orthogonal(rng, n, scale)
+                 for n in (2, 3, 4, 8, 16) for scale in (0.1, 1.0, 3.0) for _ in range(14)]
+        # -1 eigenvalues: rotation-by-pi pairs, alone, beside a rotation, and
+        # in a random frame
+        cases += [np.eye(n) for n in (0, 1, 2, 3, 4, 8, 16)]
+        cases += [np.diag([-1.0, -1.0]), np.diag([-1.0, 1.0, -1.0, 1.0]),
+                  scipy.linalg.block_diag(_rotation(0.7), -np.eye(2), 1.0),
+                  scipy.linalg.block_diag(_rotation(np.pi), _rotation(-2.5), -np.eye(4))]
+        frame = random_special_orthogonal(rng, 4)
+        cases.append(frame @ np.diag([-1.0, -1.0, 1.0, 1.0]) @ frame.T)
+        assert len(cases) >= 200
+        for o in cases:
+            assert np.array_equal(la.log_special_orthogonal(o), _ref_log_special_orthogonal(o))
+        x = la.log_special_orthogonal(np.diag([-1.0, 1.0, -1.0, 1.0]))
+        assert abs(x[0, 2]) == np.pi  # the pairing wrote the rotation-by-pi plane
+
+    @pytest.mark.parametrize("o", [
+        [[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -np.inf]],
+        np.full((2, 2), np.nan), [[1.0, np.nan], [0.0, 1.0]], np.full((4, 4), np.inf),
+        [[1e200, 0.0], [0.0, 1.0]],
+        np.array([[1.0, 0.0], [0.0, 1.0]]) + [[0.0, 0.0], [0.0, 1j * np.nan]],
+        np.array([[np.inf + 0j, 0.0], [0.0, 1.0]]),
+    ], ids=["inf", "minus_inf", "all_nan", "one_nan", "all_inf", "overflow",
+            "complex_nan", "complex_inf"])
+    def test_rejects_non_finite_without_warning(self, o):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError):
+                la.log_special_orthogonal(np.asarray(o))
 
 
 class TestFrobeniusDistance:

@@ -288,6 +288,18 @@ class TestReferenceEquivalence:
         {1: 1.0, 2: "two", "q\"uote": -0.0, "café π": [1.0], "": None},
         {"s": "line\nbreak\ttab \"q\" \\ é中\U0001f600", "u": "\x01"},
         {"x": float("nan"), "y": float("-inf"), "z": 5e-324, "w": np.float64(7.0)},
+        # beside the one-call paths for float rows, matrices and float maps
+        [[1.0, float("nan")], [2.0, 3.0]], [[float("inf")], [-float("inf")]],
+        {"re": [[0.5, -0.0], [5e-324, 1e300]], "im": [[1.0, 2.0], []]}, [[], []],
+        [[1.0, 2.0, 3.0], [4.0]], [[1.0], [2.0, 3.0], [4.0, 5.0, 6.0]],
+        [[1.0, 2], [3.0, 4.0]], [[True, 1.0]], [[np.float64(1.0), 2.0], [3.0, 4.0]],
+        [(1.0, 2.0), [3.0, 4.0]], [[1.0, [2.0]]], [[1.0], {"a": 2.0}],
+        np.array([[1.0, np.nan], [-np.inf, 0.0]]), np.arange(12.0).reshape(3, 4),
+        {"m": {"n": [[0.25, -0.5], [1.0, 2.0]]}, "k": [[[1.5]]]},
+        {"XX": 0.5, "YY": float("nan")}, {"XX": float("inf")}, {"a": 1.0, "b": 2},
+        {"a": np.float64(1.0)}, {"a": True}, {1: 1.5, 2: -0.0, 2.5: 3.0},
+        {"a%sb": 1.5, "%%": -0.0, "%.17g": 2.0, "%(x)s": 5e-324, "%": 1e300},
+        {"%d": 1.0, "x": "%s"}, {"p": {"q%": 0.1, "r": 0.2}},
     ])
     def test_edge_cases(self, doc):
         self.same(doc)
