@@ -51,7 +51,6 @@ from .metric import (
 from .pauli import (
     CartanSplit,
     Hamiltonian,
-    adapted_basis_properties,
     builtin_split,
     involution,
     pauli_matrix,
@@ -59,7 +58,6 @@ from .pauli import (
     random_hamiltonian,
     trace_inner_product,
     verify_cartan_split,
-    verify_maximal_abelian,
 )
 
 __version__ = "0.1.0"

@@ -26,11 +26,9 @@ from .metric import PenaltyMetric, pullback_gram, verify_gram_structure
 from .pauli import (
     CartanSplit,
     Hamiltonian,
-    adapted_basis_properties,
     builtin_split,
     random_hamiltonian,
     verify_cartan_split,
-    verify_maximal_abelian,
 )
 from .serialize import (
     ParseError,
@@ -147,8 +145,7 @@ def cmd_verify_split(args) -> int:
     ]
     ok = report.all_ok
     if ok:
-        maximal = verify_maximal_abelian(split)
-        adapted = adapted_basis_properties(split)
+        maximal, adapted = split.z_maximal, split.adapted
         lines.append(f"z maximal abelian    {'PASS' if maximal else 'FAIL'}")
         lines.append(
             f"adapted frame        {'PASS' if adapted.ok else 'FAIL'}"

@@ -76,7 +76,7 @@ class KakFactors:
     z-basis (``z``).  In the adapted frame ``a`` and ``b`` are real special
     orthogonal and ``d = diag(exp(i phases))``, with ``phases`` the read-only
     canonical eigenphase vector; the source unitary (projected into SU)
-    equals ``q (a d b^T) q^+``.
+    equals ``q (a d b^T) q^+`` with q the split's frame.
     """
 
     l: np.ndarray
@@ -104,19 +104,10 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
     real orthogonal O, canonicalize the principal halved phases of E, order
     O's columns to match as B (det +1), recover A = V B D^{-1} (real special
     orthogonal by construction), and map the matrix logarithms back to
-    coefficient rows.
+    coefficient rows.  A refused split raises its ``refusal`` before that.
     """
-    if split.type != "AI":
-        raise PreconditionError("not a Cartan split" if split.type is None
-                                else f"split of type {split.type}: only type AI is priced")
-    if not split.z_maximal:
-        raise PreconditionError("the split's z is not a maximal commuting subset of p")
-    frame = split.adapted
-    if not frame.ok:
-        raise PreconditionError(
-            f"the split's frame Q is not adapted to it (im {frame.realness:.2e}, "
-            f"orth {frame.orthogonality:.2e}, diag {frame.diagonality:.2e})"
-        )
+    if split.refusal:
+        raise PreconditionError(split.refusal)
     u = np.asarray(u, dtype=complex)
     dim = 2**split.n
     if u.shape != (dim, dim):
@@ -127,7 +118,7 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
         raise PreconditionError("input is not unitary within tolerance")
     u_s, removed = project_special(u)
 
-    q = split.q
+    q = split.frame
     v = q.conj().T @ u_s @ q
     msym = v.T @ v
     o, e = diag_symmetric_unitary(msym)
@@ -156,7 +147,7 @@ def _legs(split: CartanSplit, log_a, phases, log_bt):
     exp(log_a), diag(exp(i phases)) and exp(log_bt), each zeroed off its basis;
     a leak raises NumericalFailure.  The three generators are expanded by one
     stacked call; a leak is the trace norm of a row outside its basis mask."""
-    q, dim = split.q, 2**split.n
+    q, dim = split.frame, 2**split.n
     gens = np.stack([-1j * log_a, np.diag(phases).astype(complex), -1j * log_bt])
     rows = hermitian_coefficients(q @ gens @ q.conj().T)
     masks = np.stack([split.l_mask, split.z_mask, split.l_mask])

@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 
-def _as_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+def _as_matrix(m, dtype=complex) -> np.ndarray:
+    m = np.asarray(m, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -214,13 +214,13 @@ def log_special_orthogonal(o) -> np.ndarray:
     """Real antisymmetric logarithm of a real special orthogonal matrix.
 
     The real Schur form comes from one LAPACK ``dgees`` call, without SciPy's
-    input checks and workspace query (``lwork = max(1, 3n)``); NaN, inf or an
-    overflowing ``o^T o`` fail the orthogonality test with PreconditionError
+    input checks and workspace query (``lwork = max(1, 3n)``); a non-square
+    input, NaN, inf or an overflowing ``o^T o`` raise PreconditionError
     before it.  Planar rotation angles are taken in (-pi, pi].  Eigenvalue -1
     always has even multiplicity here (det +1); such eigenvalues are paired
     into explicit rotation-by-pi planes.
     """
-    o = np.asarray(o)
+    o = _as_matrix(o, None)
     n = o.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if np.iscomplexobj(o):

@@ -22,7 +22,8 @@ The module also owns Cartan splits: a pair of subspaces (l, p) closing under
 commutators as ``[l,l] in l``, ``[p,l] in p``, ``[p,p] in l``, together with
 a maximal commuting subspace z of p and the basis change that makes exp(i*l)
 real orthogonal and z diagonal.  Each such split is the eigenspace split of
-an involution theta, which fixes its type (see :func:`involution`).
+an involution theta, which fixes its type (see :func:`involution`) and, for
+type AI, the basis change when none is given; :attr:`CartanSplit.refusal` judges it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import PreconditionError
+from .linalg import diag_symmetric_unitary
 
 __all__ = [
     "pauli_matrix",
@@ -50,9 +52,7 @@ __all__ = [
     "verify_cartan_split",
     "involution",
     "builtin_split",
-    "verify_maximal_abelian",
     "AdaptedBasisReport",
-    "adapted_basis_properties",
     "MAGIC_BASIS",
 ]
 
@@ -239,14 +239,14 @@ def support_residual(h: Hamiltonian, strings) -> float:
 @dataclass(frozen=True, eq=False)
 class CartanSplit:
     """A split su(2**n) = span(l) + span(p) with the maximal commuting subspace
-    ``z_basis`` of p and the adapted frame ``q``, conjugation by which
-    diagonalizes z and realifies exp(i*l)."""
+    ``z_basis`` of p and the adapted :attr:`frame`, conjugation by which
+    diagonalizes z and realifies exp(i*l); :attr:`refusal` judges the split."""
 
     n: int
     l_basis: tuple[str, ...]
     p_basis: tuple[str, ...]
     z_basis: tuple[str, ...]
-    q: np.ndarray = field(repr=False)
+    q: np.ndarray | None = field(default=None, repr=False)
     kind: str = "custom"
 
     @cached_property
@@ -255,15 +255,72 @@ class CartanSplit:
         return involution(self.n, self.l_basis, self.p_basis)
 
     @cached_property
+    def frame(self) -> np.ndarray:
+        """``q``; without it, read-only, for type AI the Takagi factor W = O diag(sqrt e)
+        of T = O diag(e) O^T = W W^T, which realifies exp(i*l), turned by the
+        eigenbasis of the z images W^+ P W (real symmetric, as P is in p, and
+        commuting) unless they are diagonal; for other types the identity."""
+        if self.q is not None:
+            return self.q
+        w = np.eye(2**self.n, dtype=complex)
+        if self.type == "AI":
+            o, e = diag_symmetric_unitary(pauli_matrix(self.theta[0]))
+            w = o * np.sqrt(e)
+            img = w.conj().T @ dense_basis(self.n)[1][_indices(self.n, self.z_basis)] @ w
+            if np.count_nonzero(img - img * np.eye(len(w))):
+                # no nonzero {-1, 0, 1} combination of sqrt(2), ..., sqrt(16) vanishes, so
+                # the distinct joint signs of a maximal z (<= 15 images) stay distinct
+                c = np.sqrt(np.arange(2, len(img) + 2))
+                w = w @ np.linalg.eigh(np.tensordot(c, img.real, 1))[1]
+        w.setflags(write=False)
+        return w
+
+    @cached_property
     def adapted(self) -> "AdaptedBasisReport":
-        """:func:`adapted_basis_properties` of the frame, computed once per split."""
-        return adapted_basis_properties(self)
+        """Residuals of :attr:`frame`, once per split and exact over the strings:
+        a unitary q realifies exp(i*l) iff q^+ (iP) q is real for every l string
+        P, and diagonalizes z iff q^+ P q is diagonal for every z string P."""
+        n, q, dim = self.n, self.frame, 2**self.n
+        if np.shape(q) != (dim, dim):
+            return AdaptedBasisReport(np.inf, np.inf, np.inf, False)
+        qh, stack = q.conj().T, dense_basis(n)[1]
+        # a frame too large to square gives inf or NaN residuals, which fail the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            l_img, z_img = (qh @ stack[_indices(n, b)] @ q for b in (self.l_basis, self.z_basis))
+            # Im(iM) = Re M
+            realness = float(np.max(np.linalg.norm(l_img.real, axis=(1, 2)), initial=0.0))
+            orthogonality = float(np.linalg.norm(qh @ q - np.eye(dim)))
+            off = np.linalg.norm(z_img * (1 - np.eye(dim)), axis=(1, 2))
+            diagonality = float(np.max(off, initial=0.0))
+        ok = realness <= 1e-8 and orthogonality <= 1e-8 and diagonality <= 1e-10
+        return AdaptedBasisReport(realness, orthogonality, diagonality, ok)
 
     @cached_property
     def z_maximal(self) -> bool:
-        """True iff z lies in p and is commuting and maximal there
-        (:func:`verify_maximal_abelian`), computed once per split."""
-        return set(self.z_basis) <= set(self.p_basis) and verify_maximal_abelian(self)
+        """True iff z lies in p, is commuting and nothing in p outside span(z)
+        commutes with all of z; computed once per split.  For distinct
+        strings, the kernel of the joint commutator map on span(p) is spanned
+        by the p strings commuting with every z string."""
+        if not set(self.z_basis) <= set(self.p_basis):
+            return False
+        p, z = _codes(self.n, self.p_basis), _codes(self.n, self.z_basis)
+        return (not _anticommute(z, z, self.n).any()
+                and int((~_anticommute(p, z, self.n).any(axis=1)).sum()) == len(z))
+
+    @cached_property
+    def refusal(self) -> str | None:
+        """Why KAK cannot price the split, None if it can: the first gate it
+        fails of its type (only AI is priced), its z and its frame."""
+        if self.type != "AI":
+            return ("not a Cartan split" if self.type is None
+                    else f"split of type {self.type}: only type AI is priced")
+        if not self.z_maximal:
+            return "the split's z is not a maximal commuting subset of p"
+        frame = self.adapted
+        if not frame.ok:
+            return (f"the split's frame Q is not adapted to it (im {frame.realness:.2e}, "
+                    f"orth {frame.orthogonality:.2e}, diag {frame.diagonality:.2e})")
+        return None
 
     @property
     def type(self) -> str | None:
@@ -401,17 +458,6 @@ def builtin_split(n: int, kind: str) -> CartanSplit:
     return CartanSplit(n, l, p, diagonal if z is None else z, q, kind)
 
 
-def verify_maximal_abelian(split: CartanSplit) -> bool:
-    """True iff z is commuting and nothing in p outside span(z) commutes
-    with all of z.  For distinct strings, the kernel of the joint commutator
-    map on span(p) is spanned by the p strings commuting with every z string.
-    """
-    p, z = _codes(split.n, split.p_basis), _codes(split.n, split.z_basis)
-    if _anticommute(z, z, split.n).any():
-        return False
-    return int((~_anticommute(p, z, split.n).any(axis=1)).sum()) == len(z)
-
-
 @dataclass
 class AdaptedBasisReport:
     """Residuals of the adapted-frame properties over the basis strings."""
@@ -420,22 +466,3 @@ class AdaptedBasisReport:
     orthogonality: float  # || q^+ q - I ||
     diagonality: float    # max off-diagonal norm of q^+ P q over the z strings P
     ok: bool
-
-
-def adapted_basis_properties(split: CartanSplit) -> AdaptedBasisReport:
-    """Check the adapted frame exactly, by one stacked product over the
-    strings: conjugation by a unitary q realifies exp(i*l) iff q^+ (iP) q is
-    real for every l string P, and diagonalizes z iff q^+ P q is diagonal
-    for every z string P."""
-    n, q, qh, dim = split.n, split.q, split.q.conj().T, 2**split.n
-    stack = dense_basis(n)[1]
-    # a frame too large to square gives inf or NaN residuals, which fail the check
-    with np.errstate(over="ignore", invalid="ignore"):
-        l_img, z_img = (qh @ stack[_indices(n, b)] @ q for b in (split.l_basis, split.z_basis))
-        # Im(iM) = Re M
-        realness = float(np.max(np.linalg.norm(l_img.real, axis=(1, 2)), initial=0.0))
-        orthogonality = float(np.linalg.norm(qh @ q - np.eye(dim)))
-        off = np.linalg.norm(z_img * (1 - np.eye(dim)), axis=(1, 2))
-        diagonality = float(np.max(off, initial=0.0))
-    ok = realness <= 1e-8 and orthogonality <= 1e-8 and diagonality <= 1e-10
-    return AdaptedBasisReport(realness, orthogonality, diagonality, ok)

@@ -174,7 +174,9 @@ def split_to_json(split: CartanSplit) -> dict:
         "p": list(split.p_basis),
         "z": list(split.z_basis),
     }
-    if not np.array_equal(split.q, np.eye(2**split.n)):
+    # a given frame is written unless reading the document back derives it bit for bit
+    if split.q is not None and not np.array_equal(
+            split.q, CartanSplit(split.n, split.l_basis, split.p_basis, split.z_basis).frame):
         doc["Q"] = matrix_to_json(split.q)
     return doc
 
@@ -199,8 +201,8 @@ def split_from_json(doc) -> CartanSplit:
             raise ParseError(f"split document lists {twice!r} twice in {key!r}")
     if not 1 <= n <= 4:  # before the 2**n frame is built
         raise PreconditionError("supported qubit counts are 1..4")
-    q = matrix_from_json(doc["Q"]) if "Q" in doc else np.eye(2**n, dtype=complex)
-    if q.shape != (2**n, 2**n):
+    q = matrix_from_json(doc["Q"]) if "Q" in doc else None  # None: derived from theta
+    if q is not None and q.shape != (2**n, 2**n):
         raise ParseError("frame matrix dimension does not match the strings")
     return CartanSplit(n, l, p, z, q)
 

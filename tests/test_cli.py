@@ -230,7 +230,7 @@ class TestSplitGate:
 
 
 def _two_local_doc(q=None):
-    """The two_local lists with the frame ``q``, or with no "Q" (the identity)."""
+    """The two_local lists with the frame ``q``, or with no "Q" (derived from theta)."""
     doc = split_to_json(pauli.builtin_split(2, "two_local"))
     del doc["Q"]
     return doc if q is None else {**doc, "Q": matrix_to_json(q)}
@@ -240,11 +240,12 @@ _SHEARED = pauli.MAGIC_BASIS + np.outer(pauli.MAGIC_BASIS[:, 1], [1, 0, 0, 0])
 
 
 class TestSplitFrame:
-    """cost, decompose and sweep refuse a split whose frame is not adapted (exit 3)."""
+    """cost, decompose and sweep refuse a split whose given frame is not adapted
+    (exit 3), and price one without a frame in the frame derived from theta."""
 
     @pytest.mark.parametrize(
-        "q", [None, 2 * pauli.MAGIC_BASIS, _SHEARED, 1e200 * pauli.MAGIC_BASIS],
-        ids=["no_q", "scaled_q", "non_unitary_q", "overflowing_q"])
+        "q", [2 * pauli.MAGIC_BASIS, _SHEARED, 1e200 * pauli.MAGIC_BASIS],
+        ids=["scaled_q", "non_unitary_q", "overflowing_q"])
     def test_unadapted_frame_refused(self, tmp_path, capsys, q):
         split = write_split(tmp_path, "split.json", _two_local_doc(q))
         u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
@@ -253,6 +254,18 @@ class TestSplitFrame:
             assert code == 3, command
             assert out == "" and err.count("\n") == 1
             assert err.startswith("error: the split's frame Q is not adapted")
+
+    def test_frame_derived_without_q(self, tmp_path, capsys):
+        split = write_split(tmp_path, "split.json", _two_local_doc())
+        u = write_matrix(tmp_path, "u.json", la.haar_random_special_unitary(4, 3))
+        one_eps = ("--epsilons", "1e-1", "--restarts", "0", "--seed", "0")
+        for command, key, extra in (("cost", "cost", ()), ("sweep", "analytic_cost", one_eps)):
+            code, out, err = run_main(capsys, command, u, "--split-file", split, *extra)
+            _, builtin, _ = run_main(capsys, command, u, "--split", "two_local", *extra)
+            assert code == 0 and err == "", command
+            assert json.loads(out)[key] == pytest.approx(json.loads(builtin)[key], abs=1e-12)
+        code, out, err = run_main(capsys, "decompose", u, "--split-file", split)
+        assert code == 0 and err == "" and json.loads(out)["reconstruction_residual"] < 1e-12
 
     def test_permuted_magic_frame_accepted(self, tmp_path, capsys):
         permuted = pauli.MAGIC_BASIS[:, [2, 0, 3, 1]]

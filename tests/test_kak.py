@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +10,7 @@ from cartancost import linalg as la
 from cartancost.cli import main
 from cartancost.cost import optimal_cost
 from cartancost.errors import NumericalFailure, PreconditionError
+from cartancost.lattice import closest_lattice_point
 from cartancost.serialize import dumps_canonical, matrix_to_json
 
 
@@ -140,9 +143,10 @@ class TestKakRoundTrip:
 
     def test_unadapted_frame_checked_once(self, monkeypatch):
         calls = []
-        check = pauli.adapted_basis_properties
-        monkeypatch.setattr(pauli, "adapted_basis_properties",
-                            lambda split: calls.append(split) or check(split))
+        check = pauli.CartanSplit.adapted.func
+        counted = functools.cached_property(lambda split: calls.append(split) or check(split))
+        counted.__set_name__(pauli.CartanSplit, "adapted")
+        monkeypatch.setattr(pauli.CartanSplit, "adapted", counted)
         base = pauli.builtin_split(2, "two_local")
         fields = (2, base.l_basis, base.p_basis, base.z_basis)
         u = la.haar_random_special_unitary(4, 3)
@@ -159,7 +163,7 @@ class TestKakRoundTrip:
     def test_bad_z_refused_before_the_frame(self, monkeypatch, z):
         base = pauli.builtin_split(2, "two_local")
         split = pauli.CartanSplit(2, base.l_basis, base.p_basis, z, base.q)
-        monkeypatch.setattr(pauli, "adapted_basis_properties", None)
+        monkeypatch.setattr(pauli.CartanSplit, "adapted", None)
         for _ in range(2):
             with pytest.raises(PreconditionError, match="split's z is not a maximal commuting"):
                 kak.kak_decompose(la.haar_random_special_unitary(4, 3), split)
@@ -167,6 +171,65 @@ class TestKakRoundTrip:
     def test_not_unitary(self):
         with pytest.raises(PreconditionError):
             kak.kak_decompose(np.diag([1.0, 2.0, 1.0, 1.0]), pauli.builtin_split(2, "two_local"))
+
+    def test_misshapen_frame_refused(self):
+        # a given frame that is not 2**n x 2**n is not adapted: no matmul ValueError
+        base = pauli.builtin_split(2, "two_local")
+        split = pauli.CartanSplit(2, base.l_basis, base.p_basis, base.z_basis, np.eye(2))
+        with pytest.raises(PreconditionError, match="frame Q is not adapted .*im inf"):
+            kak.kak_decompose(la.haar_random_special_unitary(4, 3), split)
+        assert not split.adapted.ok
+
+
+def _greedy_z(n, p):
+    """The first maximal commuting subset of the p strings, taken in order."""
+    codes = pauli._codes(n, p)
+    anti = pauli._anticommute(codes, codes, n)
+    z = []
+    for i in range(len(p)):
+        if not anti[i, z].any():
+            z.append(i)
+    return tuple(p[i] for i in z)
+
+
+class TestDerivedFrame:
+    """A split given without a frame gets one derived from theta."""
+
+    def test_every_ai_involution(self):
+        # T with an even number of Y, at n = 1..4: 185 involutions, one Haar target each
+        count = 0
+        for n in range(1, 5):
+            for t in ("".join(s) for s in itertools.product("IXYZ", repeat=n)):
+                if t.count("Y") % 2:
+                    continue
+                l, p, _ = pauli._involution_bases(n, t)
+                split = pauli.CartanSplit(n, l, p, _greedy_z(n, p))
+                assert split.type == "AI" and split.adapted.ok, t
+                u = la.haar_random_special_unitary(2**n, count)
+                report = optimal_cost(u, split)
+                # the spectral form: U theta(U)^-1 = U T U^T T^+ has the eigenphases 2 * phases
+                tm = pauli.pauli_matrix(t)
+                x = kak.canonicalize_phases(
+                    np.angle(np.linalg.eigvals(u @ tm @ u.T @ tm.conj().T)) / 2)
+                spectral = np.linalg.norm(x - np.pi * closest_lattice_point(x))
+                assert abs(report.cost - spectral) <= 1e-12, t
+                assert la.frobenius_distance(kak.reconstruct(report.factors), u) <= 1e-9, t
+                count += 1
+        assert count == 185
+
+    def test_identity_when_already_adapted(self):
+        # T = I...I with the diagonal z: the derived frame is the identity, bit for bit
+        for n in range(1, 5):
+            base = pauli.builtin_split(n, "ai")
+            frame = pauli.CartanSplit(n, base.l_basis, base.p_basis, base.z_basis).frame
+            assert np.array_equal(frame, np.eye(2**n)) and not frame.flags.writeable
+
+    def test_given_frame_kept(self):
+        base = pauli.builtin_split(2, "two_local")
+        assert base.frame is base.q
+        derived = pauli.CartanSplit(2, base.l_basis, base.p_basis, base.z_basis)
+        assert derived.refusal is None
+        assert not np.allclose(derived.frame, base.q)  # another adapted frame
 
 
 class TestEigenphases:

@@ -259,6 +259,13 @@ class TestLogSpecialOrthogonal:
         with pytest.raises(PreconditionError):
             la.log_special_orthogonal(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("o", [np.eye(3)[:, :2], np.eye(2)[0], np.eye(2)[None]],
+                             ids=["3x2", "vector", "stack"])
+    def test_rejects_non_square(self, o):
+        # a shape NumPy's broadcasting would refuse with ValueError
+        with pytest.raises(PreconditionError, match="expected a square matrix"):
+            la.log_special_orthogonal(o)
+
     def test_matches_scipy_schur_reference(self):
         rng = np.random.default_rng(6)
         cases = [random_special_orthogonal(rng, n, scale)

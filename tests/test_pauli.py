@@ -253,7 +253,8 @@ class TestReferenceEquivalence:
     def _same(split):
         got, want = pa.verify_cartan_split(split), _ref_verify_cartan_split(split)
         assert got == want  # every field, violations in order
-        assert pa.verify_maximal_abelian(split) == _ref_verify_maximal_abelian(split)
+        assert split.z_maximal == (set(split.z_basis) <= set(split.p_basis)
+                                   and _ref_verify_maximal_abelian(split))
         # an involution is found iff the closures hold and the lists partition
         partition = sorted(split.l_basis + split.p_basis) == sorted(pa.pauli_strings(split.n))
         theta = pa.involution(split.n, split.l_basis, split.p_basis)
@@ -269,7 +270,7 @@ class TestReferenceEquivalence:
             split = _perturbed_split(seed)
             self._same(split)
             report = pa.verify_cartan_split(split)
-            verdicts.add((report.all_ok, pa.verify_maximal_abelian(split)))
+            verdicts.add((report.all_ok, split.z_maximal))
         # the sample reaches passing and failing verdicts of both checks
         assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -292,7 +293,7 @@ class TestSplits:
         report = pa.verify_cartan_split(split)
         assert report.all_ok and report.pl_spans and not report.violations
         assert len(split.z_basis) == 2**n - 1
-        assert pa.verify_maximal_abelian(split)
+        assert split.z_maximal
 
     def test_two_local_center(self):
         split = pa.builtin_split(2, "two_local")
@@ -315,12 +316,12 @@ class TestSplits:
     def test_empty_z_is_not_maximal(self):
         split = pa.builtin_split(2, "two_local")
         empty = pa.CartanSplit(2, split.l_basis, split.p_basis, (), split.q)
-        assert not pa.verify_maximal_abelian(empty)
+        assert not empty.z_maximal
 
     def test_non_maximal_z(self):
         split = pa.builtin_split(2, "two_local")
         shrunk = pa.CartanSplit(2, split.l_basis, split.p_basis, ("XX",), split.q)
-        assert not pa.verify_maximal_abelian(shrunk)
+        assert not shrunk.z_maximal
 
     @pytest.mark.parametrize("n,kind,z,maximal", [
         (2, "two_local", ("XX", "YY", "ZZ"), True), (2, "two_local", ("XY", "YX", "ZZ"), True),
@@ -334,7 +335,7 @@ class TestSplits:
         base = pa.builtin_split(n, kind)
         split = pa.CartanSplit(n, base.l_basis, base.p_basis, z, base.q)
         assert split.z_maximal is maximal
-        monkeypatch.setattr(pa, "verify_maximal_abelian", None)
+        monkeypatch.setattr(pa, "_anticommute", None)
         assert split.z_maximal is maximal
 
     @pytest.mark.parametrize("n,kind", BUILTIN)
@@ -418,8 +419,7 @@ def _ref_adapted_basis_properties(
 class TestAdaptedBasis:
     @pytest.mark.parametrize("n,kind", [(1, "single_x"), (2, "two_local"), (2, "ai"), (3, "ai")])
     def test_builtin_frames(self, n, kind):
-        report = pa.adapted_basis_properties(pa.builtin_split(n, kind))
-        assert report.ok
+        assert pa.builtin_split(n, kind).adapted.ok
 
     @pytest.mark.parametrize("n,kind,frame", [
         *((n, kind, None) for n, kind in BUILTIN), (2, "two_local", "identity"), (2, "ai", "magic"),
@@ -430,7 +430,7 @@ class TestAdaptedBasis:
         if frame is not None:
             q = np.eye(4, dtype=complex) if frame == "identity" else pa.MAGIC_BASIS
             split = pa.CartanSplit(n, split.l_basis, split.p_basis, split.z_basis, q)
-        assert pa.adapted_basis_properties(split).ok == (frame is None)
+        assert split.adapted.ok == (frame is None)
         assert _ref_adapted_basis_properties(split).ok == (frame is None)
 
     def test_magic_frame_realifies_products(self):

@@ -64,7 +64,17 @@ class TestSplitJson:
         doc = serialize.split_to_json(split)
         assert "Q" not in doc
         back = serialize.split_from_json(doc)
-        assert np.allclose(back.q, np.eye(4))
+        assert back.q is None and np.array_equal(back.frame, np.eye(4))
+
+    def test_frame_written_unless_derived(self):
+        # without "Q" the frame comes from theta, so an unadapted identity frame is
+        # written out, and a split built without a frame writes none
+        base = pauli.builtin_split(2, "two_local")
+        lists = (2, base.l_basis, base.p_basis, base.z_basis)
+        identity = pauli.CartanSplit(*lists, np.eye(4, dtype=complex))
+        doc = serialize.split_to_json(identity)
+        assert "Q" in doc and serialize.split_from_json(doc).refusal == identity.refusal
+        assert "Q" not in serialize.split_to_json(pauli.CartanSplit(*lists))
 
     def test_near_identity_frame_kept(self):
         # a diagonal frame 1e-6 away from I is written out and read back bit for bit

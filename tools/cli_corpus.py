@@ -8,19 +8,20 @@ package from this checkout's ``src``: ``random --n 1..4``, then ``decompose``
 and ``cost`` on every built-in split family, then ``single_x`` and SU(4)
 sweeps with ``--csv``, then ``verify-split`` and ``verify-metric --json-out``
 on every built-in split, then ``cost``, ``decompose`` and ``verify-split`` on
-each split document of ``SPLIT_DOCS``, then ``decompose`` and ``cost`` on the
-input documents of ``MATRIX_DOCS``: a near-SWAP gate inside the KAK failure
-window (exit 4), a matrix with a ragged row (exit 2), SWAP, whose
-eigenphases tie two lattice points, and a magic-basis diagonal whose halved
-phases sum to pi with every entry positive.  Call ``k`` runs in
-``OUTDIR/NNN`` (``k`` as three digits), writes its output files there and
-leaves ``argv``, ``exit``, ``stdout`` and ``stderr`` beside them; the
-``random`` calls write the input matrices ``OUTDIR/u<n>_<seed>.json``, and
-the split and matrix documents are written first, as
-``OUTDIR/split_<name>.json`` and ``OUTDIR/<name>.json``.  Running this in two
-checkouts and comparing the trees with ``diff -r`` checks that a change
-keeps the CLI output byte-identical.  Set ``OPENBLAS_NUM_THREADS=1`` for
-both runs.
+each split document of ``SPLIT_DOCS`` but the last, then ``decompose`` and
+``cost`` on the input documents of ``MATRIX_DOCS``: a near-SWAP gate inside
+the KAK failure window (exit 4), a matrix with a ragged row (exit 2), SWAP,
+whose eigenphases tie two lattice points, and a magic-basis diagonal whose
+halved phases sum to pi with every entry positive; then the split-document
+calls on the last document, the frame-less n=3 split with T = YIY.  Call
+``k`` runs in ``OUTDIR/NNN`` (``k`` as three digits), writes its output
+files there and leaves ``argv``, ``exit``, ``stdout`` and ``stderr`` beside
+them; the ``random`` calls write the input matrices
+``OUTDIR/u<n>_<seed>.json``, and the split and matrix documents are written
+first, as ``OUTDIR/split_<name>.json`` and ``OUTDIR/<name>.json``.  Running
+this in two checkouts and comparing the trees with ``diff -r`` checks that
+a change keeps the CLI output byte-identical.  Set ``OPENBLAS_NUM_THREADS=1``
+for both runs.
 
 ``--manifest PATH`` also writes one SHA-256 per file of the tree to PATH, a
 line ``<hex>  <path relative to OUTDIR>`` each in path order (the format of
@@ -66,6 +67,12 @@ def _strings(n: int) -> list[str]:
     return ["".join(s) for s in itertools.product("IXYZ", repeat=n)][1:]
 
 
+def _outer_l(s: str, t: str) -> bool:
+    """Whether s lies in l of theta(P) = -T P^T T^+: #Y(s) plus the number of
+    sites where s and t hold distinct non-identity letters is odd."""
+    return (s.count("Y") + sum(a != b and "I" not in a + b for a, b in zip(s, t))) % 2 == 1
+
+
 _H = 1.0 / math.sqrt(2.0)
 TWO_LOCAL = {
     "l": ["IX", "IY", "IZ", "XI", "YI", "ZI"],
@@ -91,11 +98,16 @@ SPLIT_DOCS = [
     # two_local with IX and XX swapped: no involution splits these lists
     ("swapped", {**TWO_LOCAL, "l": ["XX", *TWO_LOCAL["l"][1:]],
                  "p": ["IX", *TWO_LOCAL["p"][1:]], "Q": MAGIC}, 2),
-    # two_local lists with the identity frame, which is not adapted to them
+    # two_local lists with no "Q": priced in the frame derived from theta (T = YY)
     ("two_local_no_q", TWO_LOCAL, 2),
     # the magic frame with a z that is not maximal, or empty: exit 3 naming z
     ("z_not_maximal", {**TWO_LOCAL, "z": ["XX"], "Q": MAGIC}, 2),
     ("z_empty", {**TWO_LOCAL, "z": [], "Q": MAGIC}, 2),
+    # T = YIY, a Y pair on qubits 0 and 2, with no "Q"; z is the group of XIX,
+    # ZIZ and IXI.  Added last: its calls run after those of MATRIX_DOCS
+    ("yiy", {"l": [s for s in _strings(3) if _outer_l(s, "YIY")],
+             "p": [s for s in _strings(3) if not _outer_l(s, "YIY")],
+             "z": ["XIX", "YIY", "ZIZ", "IXI", "XXX", "YXY", "ZXZ"]}, 3),
 ]
 
 
@@ -154,14 +166,21 @@ def calls():
         yield ["verify-split", "--split", kind, *size]
         yield ["verify-metric", "--split", kind, *size, "--samples", "3", "--seed", "0",
                "--json-out", "grams.json"]
-    for name, _, n in SPLIT_DOCS:
+    # the last split document came after the matrix documents; its calls run
+    # last, so that every earlier call keeps its directory number
+    yield from _split_doc_calls(SPLIT_DOCS[:-1])
+    for name, _, commands in MATRIX_DOCS:
+        for command in commands:
+            yield [command, f"../{name}.json", "--split", "two_local"]
+    yield from _split_doc_calls(SPLIT_DOCS[-1:])
+
+
+def _split_doc_calls(docs):
+    for name, _, n in docs:
         for seed in SEEDS[:2]:
             yield ["cost", f"../u{n}_{seed}.json", "--split-file", f"../split_{name}.json"]
             yield ["decompose", f"../u{n}_{seed}.json", "--split-file", f"../split_{name}.json"]
         yield ["verify-split", "--split-file", f"../split_{name}.json"]
-    for name, _, commands in MATRIX_DOCS:
-        for command in commands:
-            yield [command, f"../{name}.json", "--split", "two_local"]
 
 
 def run(argv) -> tuple[int, str, str]:
