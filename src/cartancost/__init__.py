@@ -13,7 +13,6 @@ everything here is safe to call from concurrent tasks without coordination.
 """
 
 from .control import (
-    ControlPath,
     SweepResult,
     epsilon_sweep,
     evolve,

@@ -39,6 +39,8 @@ def _canonical_moves(x):
     by pi; while it is -k pi the smallest moves up.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise PreconditionError("phases must be finite")
     z = x - _TWO_PI * np.round(x / _TWO_PI)
     z[z <= -np.pi] += _TWO_PI
 
@@ -166,7 +168,7 @@ def _legs(split: CartanSplit, log_a, phases, log_bt):
 
 def reconstruct(f: KakFactors) -> np.ndarray:
     """exp(i l) exp(i z) exp(i m) as a dense matrix."""
-    stack = dense_basis(f.split.n)[1]
+    stack = dense_basis(f.split.n)
     flat = stack.reshape(len(stack), -1)
     el, ez, em = expm(1j * np.stack([(row @ flat).reshape(stack.shape[1:])
                                      for row in (f.l, f.z, f.m)]))

@@ -67,13 +67,15 @@ def expm(x) -> np.ndarray:
     """Exponential of an anti-Hermitian matrix, or of each member of a
     ``(..., N, N)`` stack: :func:`hermitian_exp` at ``h = i*x``.  Exact (to
     rounding) for these normal inputs; the result is unitary.  Raises if a
-    member is not square or its anti-Hermitian gap ``|x + x^+|_F`` exceeds 1e-10.
+    member is not square or its anti-Hermitian gap ``|x + x^+|_F`` is NaN or
+    exceeds 1e-10, as it is for a member holding NaN or inf.
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise PreconditionError(f"expected square matrices, got shape {x.shape}")
-    gap = np.linalg.norm(x + x.swapaxes(-1, -2).conj(), axis=(-2, -1) if x.ndim > 2 else None)
-    if (gap > 1e-10).any():
+    with np.errstate(invalid="ignore"):
+        gap = np.linalg.norm(x + x.swapaxes(-1, -2).conj(), axis=(-2, -1) if x.ndim > 2 else None)
+    if not (gap <= 1e-10).all():
         raise PreconditionError("the exponent is not anti-Hermitian")
     return hermitian_exp(1j * x)[2]
 
@@ -114,11 +116,12 @@ def project_special(u) -> tuple[np.ndarray, float]:
     """Divide a unitary by the principal N-th root of its determinant.
 
     Returns the SU(N) representative together with the removed phase angle
-    (the argument of that root).
+    (the argument of that root).  A NaN or inf entry fails the ``|det| = 1`` test.
     """
     u = _as_matrix(u)
-    det = np.linalg.det(u)
-    if abs(abs(det) - 1.0) > 1e-8:
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(u)
+    if not abs(abs(det) - 1.0) <= 1e-8:
         raise PreconditionError("matrix is not unitary (|det| != 1)")
     phase = np.angle(det) / u.shape[0]
     return u * np.exp(-1j * phase), float(phase)

@@ -103,7 +103,7 @@ def bch_matrix(l: Hamiltonian, split: CartanSplit) -> np.ndarray:
     """The BCH operator of L restricted to the free subalgebra, as a matrix
     over unit-normalized l-basis directions: columns follow ``split.l_basis``,
     rows ``pauli_strings(n)`` (the same order for the built-in splits)."""
-    directions = dense_basis(split.n)[1][_indices(split.n, split.l_basis)]
+    directions = dense_basis(split.n)[_indices(split.n, split.l_basis)]
     return _bch_series(l, directions, 16).T[split.l_mask]
 
 
@@ -139,7 +139,7 @@ def _fd_grams(base, metric: PenaltyMetric, steps: np.ndarray) -> np.ndarray:
     entry of ``steps``.  One stacked ``expm`` call exponentiates the three
     base exponents and every displaced one."""
     split = metric.split
-    _, stack = dense_basis(split.n)
+    stack = dense_basis(split.n)
     dim = stack.shape[-1]
     # coordinate directions (l for L, z for Z, l for M) and the slot of each
     slot = np.repeat([0, 1, 2], [len(split.l_basis), len(split.z_basis), len(split.l_basis)])

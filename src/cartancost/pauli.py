@@ -116,12 +116,11 @@ def pauli_strings(n: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=8)
-def dense_basis(n: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """Stacked dense matrices of all non-identity strings, for vectorized use."""
-    strings = pauli_strings(n)
-    stack = np.stack([pauli_matrix(s) for s in strings])
+def dense_basis(n: int) -> np.ndarray:
+    """Read-only stack of the dense matrices of ``pauli_strings(n)``, in order."""
+    stack = np.stack([pauli_matrix(s) for s in pauli_strings(n)])
     stack.setflags(write=False)
-    return strings, stack
+    return stack
 
 
 @lru_cache(maxsize=8)
@@ -175,7 +174,7 @@ class Hamiltonian:
         return float(np.sqrt(2**self.n * (self.vec * self.vec).sum()))
 
     def to_matrix(self) -> np.ndarray:
-        stack = dense_basis(self.n)[1]
+        stack = dense_basis(self.n)
         return (self.vec @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
     @classmethod
@@ -188,15 +187,17 @@ class Hamiltonian:
 def hermitian_coefficients(m: np.ndarray) -> np.ndarray:
     """Real coefficients over ``pauli_strings(n)`` of a Hermitian traceless
     ``2**n``-dimensional matrix, one row per member of a stack.  Raises if a
-    member's anti-Hermitian or identity leakage exceeds 1e-9 * max(|m|_F, 1)."""
+    member's anti-Hermitian or identity leakage exceeds 1e-9 * max(|m|_F, 1)
+    or is NaN, as it is for a member holding NaN or inf."""
     dim = m.shape[-1]
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise PreconditionError(f"dimension {dim} is not a power of two")
-    raw = np.einsum("kij,...ji->...k", dense_basis(n)[1], m) / dim
-    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1) if m.ndim > 2 else None), 1.0)
-    leak = np.linalg.norm(raw.imag, axis=-1) + abs(np.trace(m, axis1=-2, axis2=-1)) / dim
-    if (leak > 1e-9 * scale).any():
+    with np.errstate(invalid="ignore"):
+        raw = np.einsum("kij,...ji->...k", dense_basis(n), m) / dim
+        scale = np.maximum(np.linalg.norm(m, axis=(-2, -1) if m.ndim > 2 else None), 1.0)
+        leak = np.linalg.norm(raw.imag, axis=-1) + abs(np.trace(m, axis1=-2, axis2=-1)) / dim
+    if not (leak <= 1e-9 * scale).all():
         raise PreconditionError(
             f"matrix is not Hermitian-traceless within tolerance (leak {leak.max():.2e})"
         )
@@ -266,7 +267,7 @@ class CartanSplit:
         if self.type == "AI":
             o, e = diag_symmetric_unitary(pauli_matrix(self.theta[0]))
             w = o * np.sqrt(e)
-            img = w.conj().T @ dense_basis(self.n)[1][_indices(self.n, self.z_basis)] @ w
+            img = w.conj().T @ dense_basis(self.n)[_indices(self.n, self.z_basis)] @ w
             if np.count_nonzero(img - img * np.eye(len(w))):
                 # no nonzero {-1, 0, 1} combination of sqrt(2), ..., sqrt(16) vanishes, so
                 # the distinct joint signs of a maximal z (<= 15 images) stay distinct
@@ -283,7 +284,7 @@ class CartanSplit:
         n, q, dim = self.n, self.frame, 2**self.n
         if np.shape(q) != (dim, dim):
             return AdaptedBasisReport(np.inf, np.inf, np.inf, False)
-        qh, stack = q.conj().T, dense_basis(n)[1]
+        qh, stack = q.conj().T, dense_basis(n)
         # a frame too large to square gives inf or NaN residuals, which fail the check
         with np.errstate(over="ignore", invalid="ignore"):
             l_img, z_img = (qh @ stack[_indices(n, b)] @ q for b in (self.l_basis, self.z_basis))

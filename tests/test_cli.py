@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -6,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cartancost
 from cartancost import pauli
 from cartancost import linalg as la
 from cartancost.cli import main
@@ -555,12 +557,22 @@ class TestExitMapping:
         assert out == "" and err == f"error: {failure}\n"
 
 
+def _package_env():
+    """The environment with the imported package's directory first on PYTHONPATH,
+    so a new interpreter runs the code under test."""
+    src = os.path.dirname(os.path.dirname(cartancost.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "cartancost", "random", "--n", "1", "--seed", "3"],
         capture_output=True,
         text=True,
         check=True,
+        env=_package_env(),
     )
     doc = json.loads(proc.stdout)
     assert doc["dim"] == 2
@@ -572,15 +584,8 @@ class TestInProcessReuse:
     @staticmethod
     def fresh(calls, cwd):
         """(exit code, stdout, stderr) of each argv, each in a new interpreter."""
-        import os
-
-        import cartancost
-
-        src = os.path.dirname(os.path.dirname(cartancost.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         procs = [subprocess.Popen([sys.executable, "-m", "cartancost", *argv], cwd=cwd,
-                                  env=env, text=True, stdout=subprocess.PIPE,
+                                  env=_package_env(), text=True, stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE) for argv in calls]
         outs = [p.communicate() for p in procs]
         return [(p.returncode, *out) for p, out in zip(procs, outs)]

@@ -15,59 +15,60 @@ def single_x():
 class TestEvolve:
     def test_single_segment(self):
         h = pauli.Hamiltonian(1, {"Z": 1.0})
-        path = ct.ControlPath([h.vec], [0.7])
-        assert np.allclose(ct.evolve(path), la.expm(-1j * 0.7 * h.to_matrix()))
+        assert np.allclose(ct.evolve([0.7 * h.vec]), la.expm(-1j * 0.7 * h.to_matrix()))
 
     def test_segment_splitting(self):
-        h = pauli.Hamiltonian(1, {"X": 0.4, "Y": -0.9})
-        whole = ct.ControlPath([h.vec], [0.8])
-        halves = ct.ControlPath([h.vec, h.vec], [0.4, 0.4])
-        assert np.linalg.norm(ct.evolve(whole) - ct.evolve(halves)) < 1e-12
+        a = pauli.Hamiltonian(1, {"X": 0.4, "Y": -0.9}).vec
+        b = pauli.Hamiltonian(1, {"Z": 1.3, "X": 0.2}).vec
+        assert np.linalg.norm(ct.evolve([a]) - ct.evolve([a, a])) < 1e-12
+        assert np.linalg.norm(ct.evolve([a, b]) - ct.evolve([a, a, a, b, b, b])) < 1e-12
 
     def test_later_segments_on_left(self):
         a = pauli.Hamiltonian(1, {"X": 1.0})
         b = pauli.Hamiltonian(1, {"Z": 1.0})
-        path = ct.ControlPath([a.vec, b.vec], [0.5, 0.5])
         want = la.expm(-0.5j * b.to_matrix()) @ la.expm(-0.5j * a.to_matrix())
-        assert np.allclose(ct.evolve(path), want)
+        assert np.allclose(ct.evolve([a.vec, b.vec]), want)
 
     def test_special_unitary_output(self):
         rng = np.random.default_rng(0)
         rows = [pauli.random_hamiltonian(1, pauli.pauli_strings(1), rng).vec for _ in range(4)]
-        u = ct.evolve(ct.ControlPath(rows, np.full(4, 0.3)))
+        u = ct.evolve(rows)
         assert la.is_unitary(u, 1e-9) and abs(np.linalg.det(u) - 1) <= 1e-9
-
-    def test_positive_durations_required(self):
-        h = pauli.Hamiltonian(1, {"Z": 1.0})
-        for dt in (0.0, -0.5):
-            with pytest.raises(PreconditionError, match="positive"):
-                ct.ControlPath([h.vec], [dt])
 
 
 class TestControlPath:
-    @pytest.mark.parametrize("rows,durations,message", [
-        (np.zeros((2, 3)), [0.5], "one duration each"),
-        (np.zeros((1, 3)), [[0.5]], "one duration each"),
-        (np.zeros(3), [0.5], "one duration each"),
-        (np.zeros((0, 3)), [], "one or more coefficient rows"),
-        (np.zeros((1, 4)), [0.5], "is not 4\\*\\*n - 1"),
-        (np.zeros((1, 1023)), [0.5], "is not 4\\*\\*n - 1"),
-    ], ids=["rows-without-duration", "nested-durations", "one-dim-rows", "no-segments",
-            "width-4", "width-1023"])
-    def test_malformed_paths_refused(self, rows, durations, message):
+    @pytest.mark.parametrize("rows,message", [
+        (np.zeros(3), "one or more coefficient rows"),
+        (np.zeros((0, 3)), "one or more coefficient rows"),
+        (np.zeros((1, 4)), "is not 4\\*\\*n - 1"),
+        (np.zeros((1, 1023)), "is not 4\\*\\*n - 1"),
+    ], ids=["one-dim-rows", "no-segments", "width-4", "width-1023"])
+    def test_malformed_paths_refused(self, rows, message):
         with pytest.raises(PreconditionError, match=message):
-            ct.ControlPath(rows, durations)
+            ct.evolve(rows)
 
     def test_read_only_copies(self):
-        rows, durations = np.ones((2, 15)), np.full(2, 0.5)
-        path = ct.ControlPath(rows, durations)
-        rows[0, 0] = durations[0] = 7.0
-        assert path.rows[0, 0] == 1.0 and path.durations[0] == 0.5
-        assert path.n == 2
+        rows = np.ones((2, 15))
+        stored, n = ct._rows(rows)
+        rows[0, 0] = 7.0
+        assert stored[0, 0] == 1.0 and n == 2
         with pytest.raises(ValueError):
-            path.rows[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            path.durations[0] = 2.0
+            stored[0, 0] = 2.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", ["evolve", "path_cost", "init_paths"])
+    def test_non_finite_rows_refused(self, single_x, call, entry):
+        rows = np.array([[0.3, -0.2, 0.1], [entry, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        metric = mt.PenaltyMetric(single_x, 1e-2)
+        with pytest.raises(PreconditionError, match="finite"):
+            if call == "evolve":
+                ct.evolve(rows)
+            elif call == "path_cost":
+                ct.path_cost(rows, metric)
+            else:
+                ct.optimize_path(np.eye(2, dtype=complex), metric, restarts=0,
+                                 init_paths=(rows,))
 
 
 def _ref_even_sign_patterns(n):
@@ -124,35 +125,36 @@ class TestOneArithmetic:
         split = pauli.builtin_split(n, kind)
         for seed in range(6):
             report = cost.optimal_cost(la.haar_random_special_unitary(2**n, 300 + seed), split)
-            path = ct.optimal_feasible_path(report)
-            assert np.array_equal(path.rows, _ref_optimal_feasible_path(report))
-            assert np.array_equal(path.durations, np.full(3, 1.0 / 3.0))
+            rows = ct.optimal_feasible_path(report)
+            assert np.array_equal(rows, _ref_optimal_feasible_path(report))
+            assert not rows.flags.writeable
 
 
 class TestPathCost:
     def test_expensive_unit_segment(self, single_x):
         metric = mt.PenaltyMetric(single_x, 1e-2)
         h = pauli.Hamiltonian(1, {"Z": 1.0 / np.sqrt(2)})  # unit trace norm
-        assert abs(ct.path_cost(ct.ControlPath([h.vec], [0.6]), metric) - 0.6) < 1e-12
+        assert abs(ct.path_cost([0.6 * h.vec], metric) - 0.6) < 1e-12
 
     def test_free_segment(self, single_x):
         metric = mt.PenaltyMetric(single_x, 1e-2)
         h = pauli.Hamiltonian(1, {"X": 1.0})
         want = np.sqrt(1e-2) * h.norm() * 0.5
-        assert abs(ct.path_cost(ct.ControlPath([h.vec], [0.5]), metric) - want) < 1e-12
+        assert abs(ct.path_cost([0.5 * h.vec], metric) - want) < 1e-12
 
     def test_reparameterization_invariance(self, single_x):
+        # the same path at triple speed, then at rest; and each row split in equal sub-rows
         metric = mt.PenaltyMetric(single_x, 0.3)
         rng = np.random.default_rng(1)
-        h = pauli.random_hamiltonian(1, pauli.pauli_strings(1), rng)
-        c1 = ct.path_cost(ct.ControlPath([h.vec], [0.9]), metric)
-        c2 = ct.path_cost(ct.ControlPath([3.0 * h.vec], [0.3]), metric)
-        assert abs(c1 - c2) < 1e-12
+        a, b = (pauli.random_hamiltonian(1, pauli.pauli_strings(1), rng).vec for _ in range(2))
+        c = ct.path_cost([a], metric)
+        assert abs(c - ct.path_cost([3.0 * a, 0.0 * a, 0.0 * a], metric)) < 1e-12
+        assert abs(c - ct.path_cost([a, a, a], metric)) < 1e-12
+        assert abs(ct.path_cost([a, b], metric) - ct.path_cost([a, a, b, b], metric)) < 1e-12
 
     def test_qubit_count_must_match(self, single_x):
-        path = ct.ControlPath(np.ones((1, 15)), [1.0])
         with pytest.raises(PreconditionError, match="qubit counts"):
-            ct.path_cost(path, mt.PenaltyMetric(single_x, 0.1))
+            ct.path_cost(np.ones((1, 15)), mt.PenaltyMetric(single_x, 0.1))
 
 
 class TestFeasiblePath:
@@ -162,18 +164,17 @@ class TestFeasiblePath:
         for seed in range(4):
             u = la.haar_random_special_unitary(dim, 600 + seed)
             report = cost.optimal_cost(u, split)
-            path = ct.optimal_feasible_path(report)
-            assert la.frobenius_distance(ct.evolve(path), u) < 1e-9
+            rows = ct.optimal_feasible_path(report)
+            assert la.frobenius_distance(ct.evolve(rows), u) < 1e-9
             for eps in (1e-2, 1e-4):
                 metric = mt.PenaltyMetric(split, eps)
-                assert ct.path_cost(path, metric) >= report.cost - 1e-12
+                assert ct.path_cost(rows, metric) >= report.cost - 1e-12
 
     def test_middle_leg_norm_is_analytic_cost(self, single_x):
         u = la.haar_random_special_unitary(2, 77)
         report = cost.optimal_cost(u, single_x)
-        path = ct.optimal_feasible_path(report)
-        h_mid = pauli.Hamiltonian(1, path.rows[1])
-        assert abs(h_mid.norm() * path.durations[1] - report.cost) < 1e-10
+        h_mid = pauli.Hamiltonian(1, ct.optimal_feasible_path(report)[1])
+        assert abs(h_mid.norm() / 3.0 - report.cost) < 1e-10
 
 
 class TestOptimizePath:
@@ -188,10 +189,10 @@ class TestOptimizePath:
         k = pauli.Hamiltonian(1, {"X": 0.6})
         u = la.expm(1j * k.to_matrix())
         report = cost.optimal_cost(u, single_x)
-        path = ct.optimal_feasible_path(report)
+        rows = ct.optimal_feasible_path(report)
         metric = mt.PenaltyMetric(single_x, 1e-2)
         _, value = ct.optimize_path(
-            u, metric, segments=3, restarts=1, seed=0, init_paths=(path,)
+            u, metric, segments=3, restarts=1, seed=0, init_paths=(rows,)
         )
         assert value <= np.sqrt(1e-2) * k.norm() + 1e-3
 
@@ -219,22 +220,22 @@ class TestOptimizePath:
     def test_result_is_the_reported_cost(self, single_x):
         u = la.haar_random_special_unitary(2, 8)
         metric = mt.PenaltyMetric(single_x, 1e-2)
-        path, value = ct.optimize_path(u, metric, segments=4, restarts=1, seed=0)
-        assert path.rows.shape == (4, 3)
-        assert np.array_equal(path.durations, np.full(4, 0.25))
-        assert ct.path_cost(path, metric) == value
-        assert la.frobenius_distance(ct.evolve(path), u) <= ct._ENDPOINT_TOL
+        rows, value = ct.optimize_path(u, metric, segments=4, restarts=1, seed=0)
+        assert rows.shape == (4, 3) and not rows.flags.writeable
+        assert ct.path_cost(rows, metric) == value
+        assert la.frobenius_distance(ct.evolve(rows), u) <= ct._ENDPOINT_TOL
 
 
-def _ref_value_and_grad(target, metric, durations, rows, lam):
+def _ref_value_and_grad(target, metric, rows, lam):
     """The objective as per-segment loops built it: prefix and suffix lists,
     one M_s per segment, and the phases of both eigenvalues of each gap."""
     n = metric.split.n
-    stack = pauli.dense_basis(n)[1]
+    stack = pauli.dense_basis(n)
     dim, segments = 2**n, len(rows)
+    slices = np.full(segments, 1.0 / segments)
     target_h = target.conj().T
     w, v = np.linalg.eigh(np.einsum("sk,kij->sij", rows, stack))
-    props = [v[s] @ np.diag(np.exp(-1j * w[s] * durations[s])) @ v[s].conj().T
+    props = [v[s] @ np.diag(np.exp(-1j * w[s] * slices[s])) @ v[s].conj().T
              for s in range(segments)]
     prefix, suffix = [np.eye(dim)], [np.eye(dim)]
     for s in range(segments - 1):
@@ -245,7 +246,7 @@ def _ref_value_and_grad(target, metric, durations, rows, lam):
     unit = overlap / abs(overlap)
     grad = np.empty_like(rows)
     for s in range(segments):
-        dt, vs = durations[s], v[s]
+        dt, vs = slices[s], v[s]
         m = prefix[s] @ target_h @ suffix[s]
         gap = (w[s][:, None] - w[s][None, :]) * dt / 2.0
         half = np.exp(-0.5j * w[s] * dt)
@@ -255,8 +256,8 @@ def _ref_value_and_grad(target, metric, durations, rows, lam):
             grad[s, k] = -2.0 * (np.conj(unit) * np.trace(m @ du)).real
     speeds = metric.cost(rows)
     safe = np.where(speeds > 0.0, speeds, 1.0)
-    cost_grad = 2.0**n * metric.weights * rows * (durations / safe)[:, None]
-    value = speeds @ durations + lam * (2.0 * dim - 2.0 * abs(overlap))
+    cost_grad = 2.0**n * metric.weights * rows * (slices / safe)[:, None]
+    value = speeds @ slices + lam * (2.0 * dim - 2.0 * abs(overlap))
     return value, cost_grad + lam * grad
 
 
@@ -268,22 +269,22 @@ class TestObjectiveGradient:
     def test_matches_central_differences(self, kind, n, segments, lam):
         split = pauli.builtin_split(n, kind)
         target = la.haar_random_special_unitary(2**n, 11)
-        metric, durations = mt.PenaltyMetric(split, 1e-2), np.full(segments, 1.0 / segments)
-        obj = ct._Objective(target, metric, durations)
+        metric = mt.PenaltyMetric(split, 1e-2)
+        obj = ct._Objective(target, metric, segments)
         rows = np.random.default_rng(n).standard_normal((segments, 4**n - 1)) * 0.4
         rows[1] = 0.0  # a segment at zero speed
-        value, grad = obj.value_and_grad(rows, lam)
-        path = ct.ControlPath(rows, durations)
-        endpoint = la.frobenius_distance(ct.evolve(path), target)
-        assert abs(value - (ct.path_cost(path, metric) + lam * endpoint**2)) <= 1e-9 * value
+        value, grad = obj.value_and_grad(rows.ravel(), lam)
+        grad = grad.reshape(rows.shape)
+        endpoint = la.frobenius_distance(ct.evolve(rows), target)
+        assert abs(value - (ct.path_cost(rows, metric) + lam * endpoint**2)) <= 1e-9 * value
         step = 1e-6
         numeric = np.empty_like(rows)
         for idx in np.ndindex(rows.shape):
             up, down = rows.copy(), rows.copy()
             up[idx] += step
             down[idx] -= step
-            numeric[idx] = (obj.value_and_grad(up, lam)[0]
-                            - obj.value_and_grad(down, lam)[0]) / (2 * step)
+            numeric[idx] = (obj.value_and_grad(up.ravel(), lam)[0]
+                            - obj.value_and_grad(down.ravel(), lam)[0]) / (2 * step)
         assert np.abs(grad - numeric).max() <= 1e-7 * np.abs(grad).max()
 
     @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
@@ -292,15 +293,16 @@ class TestObjectiveGradient:
         # the stacked kernel reorders floating-point work, so equal to rounding, not bits
         split = pauli.builtin_split(n, kind)
         rng = np.random.default_rng(40 + n)
-        durations = np.full(segments, 1.0 / segments)
         for trial in range(4):
             target = la.haar_random_special_unitary(2**n, trial)
             metric = mt.PenaltyMetric(split, (1e-1, 1e-3)[trial % 2])
             rows = rng.standard_normal((segments, 4**n - 1)) * (0.05, 0.4, 3.0, 1.0)[trial]
             if trial == 3:
                 rows[1] = 0.0  # a segment at zero speed
-            value, grad = ct._Objective(target, metric, durations).value_and_grad(rows, 1e3)
-            want_value, want_grad = _ref_value_and_grad(target, metric, durations, rows, 1e3)
+            obj = ct._Objective(target, metric, segments)
+            value, grad = obj.value_and_grad(rows.ravel(), 1e3)
+            want_value, want_grad = _ref_value_and_grad(target, metric, rows, 1e3)
+            want_grad = want_grad.ravel()
             assert abs(value - want_value) <= 1e-12 * abs(want_value)
             assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
@@ -333,25 +335,23 @@ class TestEpsilonSweep:
 
     def test_lambda_stages_reuse_bit_identical_parts(self, single_x):
         target = la.haar_random_special_unitary(2, 21)
-        metric, durations = mt.PenaltyMetric(single_x, 1e-2), np.full(3, 1.0 / 3.0)
-        rows = np.random.default_rng(21).standard_normal((3, 3)) * 0.4
-        obj = ct._Objective(target, metric, durations)
+        metric = mt.PenaltyMetric(single_x, 1e-2)
+        rows = np.random.default_rng(21).standard_normal(9) * 0.4
+        obj = ct._Objective(target, metric, 3)
         for lam in (10.0, 1e3):  # the second call reuses the first call's parts
             value, grad = obj.value_and_grad(rows, lam)
-            fresh_value, fresh_grad = ct._Objective(target, metric, durations).value_and_grad(
-                rows, lam)
+            fresh_value, fresh_grad = ct._Objective(target, metric, 3).value_and_grad(rows, lam)
             assert value == fresh_value and np.array_equal(grad, fresh_grad)
 
     def test_rows_mutated_in_place_are_not_served_from_the_cache(self, single_x):
         target = la.haar_random_special_unitary(2, 22)
-        metric, durations = mt.PenaltyMetric(single_x, 1e-2), np.full(3, 1.0 / 3.0)
-        rows = np.random.default_rng(22).standard_normal((3, 3)) * 0.4
-        obj = ct._Objective(target, metric, durations)
+        metric = mt.PenaltyMetric(single_x, 1e-2)
+        rows = np.random.default_rng(22).standard_normal(9) * 0.4
+        obj = ct._Objective(target, metric, 3)
         first_value, first_grad = obj.value_and_grad(rows, 10.0)
-        rows[1, 2] += 0.25
+        rows[5] += 0.25
         value, grad = obj.value_and_grad(rows, 10.0)
-        fresh_value, fresh_grad = ct._Objective(target, metric, durations).value_and_grad(
-            rows, 10.0)
+        fresh_value, fresh_grad = ct._Objective(target, metric, 3).value_and_grad(rows, 10.0)
         assert value == fresh_value and np.array_equal(grad, fresh_grad)
         assert value != first_value and not np.array_equal(grad, first_grad)
 
@@ -410,6 +410,20 @@ class TestNonConvergence:
                 seed=0, max_iter=2,
             )
         assert exc.value.residual is not None and exc.value.residual > 1e-16
+
+    def test_non_finite_optimizer_result_is_not_a_candidate(self, monkeypatch):
+        # a non-finite L-BFGS-B result ranks below the finite starts, as a nan
+        # residual did, rather than being refused as a caller's rows are
+        class Result:
+            x = np.full(9, np.nan)
+
+        monkeypatch.setattr(ct.scipy.optimize, "minimize", lambda *args, **kwargs: Result)
+        split = pauli.builtin_split(1, "single_x")
+        u = la.haar_random_special_unitary(2, 5)
+        feasible = ct.optimal_feasible_path(cost.optimal_cost(u, split))
+        metric = mt.PenaltyMetric(split, 1e-2)
+        rows, value = ct.optimize_path(u, metric, restarts=1, init_paths=(feasible,))
+        assert np.array_equal(rows, feasible) and value == ct.path_cost(feasible, metric)
 
     def test_zero_starts_rejected(self):
         split = pauli.builtin_split(1, "single_x")

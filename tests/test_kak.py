@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ class TestCanonicalPhases:
         assert abs(z.sum()) < 1e-12
         assert np.all(z <= np.pi + 1e-12) and np.all(z > -np.pi - 1e-12)
         assert np.all(np.diff(z) <= 1e-15)
+
+    @pytest.mark.parametrize("x", [(np.nan, 0.0), (np.inf, -np.inf), (np.inf, 0.0)])
+    def test_rejects_non_finite_without_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="finite"):
+                kak.canonicalize_phases(np.array(x))
 
     def test_rejects_off_lattice_sum(self):
         with pytest.raises(PreconditionError):

@@ -81,6 +81,15 @@ class TestExpm:
         for idx in np.ndindex(2, 3):
             assert np.max(np.abs(got[idx] - la.expm(xs[idx]))) <= 1e-14
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1j * np.inf])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    def test_rejects_non_finite_without_warning(self, entry, stacked):
+        x = np.array([[0.0, entry], [-np.conj(entry), 0.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="anti-Hermitian"):
+                la.expm(np.stack([np.zeros((2, 2)), x]) if stacked else x)
+
     def test_stack_rejects_one_bad_member(self):
         rng = np.random.default_rng(3)
         xs = np.stack([random_antihermitian(rng, 4) for _ in range(5)])
@@ -297,6 +306,16 @@ class TestLogSpecialOrthogonal:
             warnings.simplefilter("error")
             with pytest.raises(PreconditionError):
                 la.log_special_orthogonal(np.asarray(o))
+
+
+class TestProjectSpecial:
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1j * np.inf])
+    def test_rejects_non_finite_without_warning(self, entry):
+        for u in (np.diag([entry, 1.0]), np.full((2, 2), entry)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PreconditionError, match="not unitary"):
+                    la.project_special(u)
 
 
 class TestFrobeniusDistance:

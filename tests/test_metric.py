@@ -55,7 +55,7 @@ def _ref_fd_gram(base, metric, fd_step):
             t = t - (np.trace(t) / dim) * np.eye(dim)
             tangents.append(t)
 
-    _, stack = pauli.dense_basis(split.n)
+    stack = pauli.dense_basis(split.n)
     rows = np.einsum("kij,tji->tk", stack, np.array(tangents)).real / dim
     w = np.where(split.l_mask, metric.epsilon, 1.0)
     return dim * (rows * w) @ rows.T

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,19 @@ class TestHamiltonian:
     def test_from_matrix_rejects_non_hermitian(self):
         with pytest.raises(PreconditionError):
             pa.Hamiltonian.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1j * np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "stack"])
+    def test_coefficients_reject_non_finite_without_warning(self, entry, where):
+        m = np.array([[entry, 0.0], [0.0, -entry]], dtype=complex)
+        if where == "off-diagonal":
+            m = np.array([[0.0, entry], [np.conj(entry), 0.0]], dtype=complex)
+        elif where == "stack":
+            m = np.stack([pa.pauli_matrix("X"), m])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="Hermitian-traceless"):
+                pa.hermitian_coefficients(m)
 
     def test_identity_excluded(self):
         # only non-identity strings of length n name a coefficient
