@@ -24,7 +24,8 @@ import scipy.optimize
 from .cost import CostReport, optimal_cost
 from .errors import ConvergenceFailure, PreconditionError
 from .kak import _legs
-from .linalg import frobenius_distance, hermitian_exp, is_unitary, log_special_orthogonal
+from .linalg import (exp_divided_differences, frobenius_distance, hermitian_exp, is_unitary,
+                     log_special_orthogonal)
 from .metric import PenaltyMetric
 from .pauli import CartanSplit, dense_basis
 
@@ -157,11 +158,10 @@ class _Objective:
 
         With ``U = S_s U_s P_s`` (suffix, segment, prefix), ``d tr(T^+ U) =
         tr(M_s dU_s)`` with ``M_s = P_s T^+ S_s = P_s (T^+ U) P_{s+1}^+``, so
-        the prefix products alone give every ``M_s``.  ``dU_s = V (G o V^+ dH
-        V) V^+`` (Daleckii-Krein) with ``G_ab = (e^{-i w_a dt} - e^{-i w_b dt})
-        / (w_a - w_b) = -i dt e^{-i (w_a + w_b) dt/2} sinc((w_a - w_b) dt/2)``,
-        exact at and near coinciding eigenvalues.  ``P_{s+1}^+ V = P_s^+ V
-        e^{i w dt}`` turns that phase into ``e^{-i (w_a - w_b) dt/2}``.
+        the prefix products alone give every ``M_s``.  ``dU_s = U_s V (g^T o
+        V^+ dH V) V^+`` (Daleckii-Krein), ``g`` from :func:`exp_divided_differences`
+        at ``t = dt``, and ``P_{s+1}^+ U_s = P_s^+``, so ``tr(M_s dU_s)`` pairs
+        ``g o V^+ P_s (T^+ U) P_s^+ V`` with the transpose of ``V^+ dH V``.
         """
         dt, prefix = self.dt, self.prefix
         w, v, props = hermitian_exp((rows @ self.basis).reshape(self.shape), dt)
@@ -171,9 +171,7 @@ class _Objective:
         overlap = np.vdot(self.target, u)  # tr(T^+ U)
         vh = v.conj().swapaxes(1, 2)
         a = vh @ prefix[:-1]  # V^+ P_s
-        gap = w[:, :, None] - w[:, None, :]
-        g = -1j * dt * np.exp(-0.5j * dt * gap) * np.sinc(dt / (2.0 * np.pi) * gap)
-        x = (a @ (self.target_h @ u) @ a.conj().swapaxes(1, 2)) * g
+        x = (a @ (self.target_h @ u) @ a.conj().swapaxes(1, 2)) * exp_divided_differences(w, dt)
         d_overlap = (v @ x @ vh).reshape(len(rows), -1) @ self.basis_t
         size = abs(overlap)
         unit = overlap / size if size > 0.0 else 1.0
@@ -192,7 +190,7 @@ def optimize_path(
     seed: int = 0,
     init_paths=(),
     max_iter: int = 2000,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, float]:
     """Best-of-restarts local search for a cheap path reaching ``target``.
 
     L-BFGS-B minimization, on exact gradients, over the rows of a
@@ -200,8 +198,9 @@ def optimize_path(
     follows the continuation schedule 10..1e4; ``max_iter`` caps the L-BFGS-B
     iterations of each stage.  ``init_paths``, paths of at most ``segments``
     rows (e.g. the analytic feasible path), seed extra starts and also stand
-    as candidate answers; ``restarts`` random starts are added.  The reported
-    cost excludes the penalty term.
+    as candidate answers; ``restarts`` random starts are added.  Returns the
+    best rows, their cost, which excludes the penalty term, and their endpoint
+    residual ``frobenius_distance(evolve(rows), target)``.
     """
     target = np.asarray(target, dtype=complex)
     if segments < 3:
@@ -252,14 +251,14 @@ def optimize_path(
         reached = residual <= _ENDPOINT_TOL
         key = (not reached, path_cost(rows, metric) if reached else residual)
         if best_key is None or key < best_key:
-            best_key, best = key, rows
+            best_key, best, best_residual = key, rows, residual
     failed, value = best_key
     if failed:
         raise ConvergenceFailure(
             "endpoint residual did not reach tolerance", residual=value
         )
     best.setflags(write=False)
-    return best, value
+    return best, value, best_residual
 
 
 @dataclass(eq=False)
@@ -318,11 +317,10 @@ def epsilon_sweep(
         metric = PenaltyMetric(split, float(e))
         feasible_costs[i] = path_cost(feasible, metric)
         slack = np.sqrt(e) * free_norm
-        rows, numeric[i] = optimize_path(
+        _, numeric[i], residuals[i] = optimize_path(
             target, metric, segments=segments, restarts=restarts,
             seed=seed + i, init_paths=(feasible,), max_iter=max_iter,
         )
-        residuals[i] = frobenius_distance(evolve(rows), target)
         within[i] = (analytic - slack - margin) <= numeric[i] <= (analytic + slack + margin)
     return SweepResult(
         epsilon_values=eps,

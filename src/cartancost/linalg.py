@@ -19,6 +19,7 @@ __all__ = [
     "is_symmetric",
     "expm",
     "hermitian_exp",
+    "exp_divided_differences",
     "diag_symmetric_unitary",
     "log_special_orthogonal",
     "frobenius_distance",
@@ -61,6 +62,16 @@ def hermitian_exp(h, t=None):
     del h  # a stack of exponents can be large: free it before the products
     phases = np.exp(-1j * w if t is None else -1j * w * times[..., None])
     return w, v, (v * phases[..., None, :]) @ v.swapaxes(-1, -2).conj()
+
+
+def exp_divided_differences(w, t) -> np.ndarray:
+    """``g_ab = e^{i w_b t} (e^{-i w_a t} - e^{-i w_b t}) / (w_a - w_b)`` over an
+    eigenvalue vector ``w`` or each row of a stack, as ``-i t e^{-i t (w_a -
+    w_b)/2} sinc(t (w_a - w_b)/2)``: exact at coinciding eigenvalues (``-i t``).
+    For ``h = v diag(w) v^+``, ``d e^{-i h t} = v (g o v^+ dh v) v^+ e^{-i h t}``
+    (Daleckii-Krein), and ``-i g`` at ``t = -1`` is ``(e^{ad_{ih}} - 1) / ad_{ih}``."""
+    gap = w[..., :, None] - w[..., None, :]
+    return -1j * t * np.exp(-0.5j * t * gap) * np.sinc(t / (2.0 * np.pi) * gap)
 
 
 def expm(x) -> np.ndarray:

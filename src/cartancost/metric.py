@@ -10,9 +10,10 @@ eps times the squared BCH operator of M, and the blocks decouple as eps goes
 to zero.  This module measures that Gram by central finite
 differences and checks the structure at stated tolerances.
 
-Both run on stacks, not per direction: every displaced exponent of the
-Gram's differences (step and half step) goes through one eigendecomposition,
-and the BCH series runs once over the stack of all l strings.
+Neither runs per direction: every displaced exponent of the Gram's
+differences (step and half step) goes through one eigendecomposition, and
+the BCH operator is exact, from one eigendecomposition of its exponent: in
+that eigenbasis it multiplies each entry by a divided difference of exp.
 """
 
 from __future__ import annotations
@@ -23,15 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import expm
-from .pauli import (
-    CartanSplit,
-    Hamiltonian,
-    _indices,
-    dense_basis,
-    hermitian_coefficients,
-    support_residual,
-)
+from .linalg import exp_divided_differences, expm
+from .pauli import CartanSplit, Hamiltonian, _indices, dense_basis, support_residual
 
 __all__ = [
     "PenaltyMetric",
@@ -72,39 +66,38 @@ class PenaltyMetric:
         return np.sqrt(2.0**self.split.n * ((rows * rows) @ self.weights))
 
 
-def _bch_series(l: Hamiltonian, p: np.ndarray, terms: int) -> np.ndarray:
-    """Coefficient rows of ``phi(ad_{iL})`` on each matrix of the stack ``p``."""
-    if terms < 1:
-        raise PreconditionError("need at least one series term")
-    if l.norm() > 2.0:
-        raise PreconditionError("series guard: |L| must not exceed 2")
-    lm = l.to_matrix()
-    acc = term = p
-    factorial = 1.0
-    for j in range(1, terms):
-        term = 1j * (lm @ term - term @ lm)
-        factorial *= j + 1
-        acc = acc + term / factorial
-    return hermitian_coefficients(acc)
+def _bch_frame(l: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors ``v`` of L and ``phi(ad_{iL})`` in its eigenbasis: entry
+    (a, b) of ``v^+ P v`` is multiplied by ``phi(i (w_a - w_b))``."""
+    w, v = np.linalg.eigh(l.to_matrix())
+    return v, -1j * exp_divided_differences(w, -1.0)
 
 
-def bch_operator(l: Hamiltonian, p: Hamiltonian, terms: int = 16) -> Hamiltonian:
+def bch_operator(l: Hamiltonian, p: Hamiltonian) -> Hamiltonian:
     """First-order group response to perturbing an exponent.
 
-    Returns ``B = phi(ad_{iL})(P)`` with ``phi(w) = (e^w - 1)/w`` truncated
-    after ``terms`` terms, so that
-    ``exp(i(L + t P)) = exp(i t B) exp(i L) + O(t^2)``.
-    The series converges fast for |L| <= 2, which is enforced as a guard.
+    Returns ``B = phi(ad_{iL})(P)`` with ``phi(w) = (e^w - 1)/w``, so that
+    ``exp(i(L + t P)) = exp(i t B) exp(i L) + O(t^2)``.  Exact for every L,
+    from one eigendecomposition of L (Daleckii-Krein).
     """
-    return Hamiltonian(l.n, _bch_series(l, p.to_matrix(), terms))
+    v, phi = _bch_frame(l)
+    vh = v.conj().T
+    return Hamiltonian.from_matrix(v @ (phi * (vh @ p.to_matrix() @ v)) @ vh)
 
 
 def bch_matrix(l: Hamiltonian, split: CartanSplit) -> np.ndarray:
     """The BCH operator of L restricted to the free subalgebra, as a matrix
     over unit-normalized l-basis directions: columns follow ``split.l_basis``,
-    rows ``pauli_strings(n)`` (the same order for the built-in splits)."""
-    directions = dense_basis(split.n)[_indices(split.n, split.l_basis)]
-    return _bch_series(l, directions, 16).T[split.l_mask]
+    rows ``pauli_strings(n)`` (the same order for the built-in splits).
+
+    Entry (i, j) is ``Re tr(P_i phi(ad_{iL})(P_j)) / dim``, a trace taken in
+    L's eigenbasis, where each string is ``Q = v^+ P v``."""
+    v, phi = _bch_frame(l)
+    order = _indices(split.n, split.l_basis)
+    q = v.conj().T @ dense_basis(split.n)[order] @ v
+    # Q_i is Hermitian, so sum_ab Q_i[b, a] phi_ab Q_j[a, b] pairs conj(Q_i) with phi o Q_j
+    rows = q[np.argsort(order)].conj().reshape(len(order), -1)
+    return (rows @ (phi * q).reshape(len(order), -1).T).real / len(v)
 
 
 @dataclass(eq=False)
@@ -241,11 +234,7 @@ def verify_gram_structure(gram: CoordinateGram, metric: PenaltyMetric) -> GramSt
     """
     l, z, m = gram.base
 
-    offdiag_max = max(
-        float(np.max(np.abs(gram.block(1, 2)))),
-        float(np.max(np.abs(gram.block(2, 3)))),
-        float(np.max(np.abs(gram.block(1, 3)))),
-    )
+    offdiag_max = max(float(np.max(np.abs(gram.block(*ij)))) for ij in ((1, 2), (2, 3), (1, 3)))
     offdiag_ok = offdiag_max <= _OFFDIAG_ABS
 
     center = gram.block(2, 2)

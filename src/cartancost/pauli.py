@@ -187,19 +187,21 @@ class Hamiltonian:
 def hermitian_coefficients(m: np.ndarray) -> np.ndarray:
     """Real coefficients over ``pauli_strings(n)`` of a Hermitian traceless
     ``2**n``-dimensional matrix, one row per member of a stack.  Raises if a
-    member's anti-Hermitian or identity leakage exceeds 1e-9 * max(|m|_F, 1)
-    or is NaN, as it is for a member holding NaN or inf."""
+    member's anti-Hermitian or identity leakage over max(its largest |entry|,
+    1), a scale no norm of a huge matrix overflows, exceeds 1e-9 or is NaN, as
+    it is for a member holding NaN or inf."""
     dim = m.shape[-1]
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise PreconditionError(f"dimension {dim} is not a power of two")
     with np.errstate(invalid="ignore"):
         raw = np.einsum("kij,...ji->...k", dense_basis(n), m) / dim
-        scale = np.maximum(np.linalg.norm(m, axis=(-2, -1) if m.ndim > 2 else None), 1.0)
-        leak = np.linalg.norm(raw.imag, axis=-1) + abs(np.trace(m, axis1=-2, axis2=-1)) / dim
-    if not (leak <= 1e-9 * scale).all():
+        scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+        leak = (np.linalg.norm(raw.imag / scale[..., None], axis=-1)
+                + abs(np.trace(m, axis1=-2, axis2=-1)) / dim / scale)
+    if not (leak <= 1e-9).all():
         raise PreconditionError(
-            f"matrix is not Hermitian-traceless within tolerance (leak {leak.max():.2e})"
+            f"matrix is not Hermitian-traceless within tolerance (relative leak {leak.max():.2e})"
         )
     return raw.real
 

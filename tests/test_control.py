@@ -180,7 +180,7 @@ class TestFeasiblePath:
 class TestOptimizePath:
     def test_identity_target(self, single_x):
         metric = mt.PenaltyMetric(single_x, 1e-2)
-        _, value = ct.optimize_path(
+        _, value, _ = ct.optimize_path(
             np.eye(2, dtype=complex), metric, segments=3, restarts=1, seed=0
         )
         assert value <= 1e-6
@@ -191,7 +191,7 @@ class TestOptimizePath:
         report = cost.optimal_cost(u, single_x)
         rows = ct.optimal_feasible_path(report)
         metric = mt.PenaltyMetric(single_x, 1e-2)
-        _, value = ct.optimize_path(
+        _, value, _ = ct.optimize_path(
             u, metric, segments=3, restarts=1, seed=0, init_paths=(rows,)
         )
         assert value <= np.sqrt(1e-2) * k.norm() + 1e-3
@@ -220,10 +220,10 @@ class TestOptimizePath:
     def test_result_is_the_reported_cost(self, single_x):
         u = la.haar_random_special_unitary(2, 8)
         metric = mt.PenaltyMetric(single_x, 1e-2)
-        rows, value = ct.optimize_path(u, metric, segments=4, restarts=1, seed=0)
+        rows, value, residual = ct.optimize_path(u, metric, segments=4, restarts=1, seed=0)
         assert rows.shape == (4, 3) and not rows.flags.writeable
         assert ct.path_cost(rows, metric) == value
-        assert la.frobenius_distance(ct.evolve(rows), u) <= ct._ENDPOINT_TOL
+        assert la.frobenius_distance(ct.evolve(rows), u) == residual <= ct._ENDPOINT_TOL
 
 
 def _ref_value_and_grad(target, metric, rows, lam):
@@ -422,8 +422,9 @@ class TestNonConvergence:
         u = la.haar_random_special_unitary(2, 5)
         feasible = ct.optimal_feasible_path(cost.optimal_cost(u, split))
         metric = mt.PenaltyMetric(split, 1e-2)
-        rows, value = ct.optimize_path(u, metric, restarts=1, init_paths=(feasible,))
+        rows, value, residual = ct.optimize_path(u, metric, restarts=1, init_paths=(feasible,))
         assert np.array_equal(rows, feasible) and value == ct.path_cost(feasible, metric)
+        assert residual == la.frobenius_distance(ct.evolve(feasible), u)
 
     def test_zero_starts_rejected(self):
         split = pauli.builtin_split(1, "single_x")

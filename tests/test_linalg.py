@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -97,6 +98,40 @@ class TestExpm:
         xs[3, 0, 1] += 1e-8
         with pytest.raises(PreconditionError):
             la.expm(xs)
+
+
+class TestExpDividedDifferences:
+    @pytest.mark.parametrize("t", [0.25, -1.0, 3.0])
+    def test_limit_at_equal_eigenvalues(self, t):
+        g = la.exp_divided_differences(np.array([0.7, 0.7, -1.4]), t)
+        assert g[0, 0] == g[0, 1] == g[1, 0] == g[2, 2] == -1j * t
+
+    @pytest.mark.parametrize("t", [0.25, -1.0, 3.0])
+    def test_raw_divided_differences_when_separated(self, t):
+        w = np.array([1.3, -0.2, 0.45, -1.55])
+        g = la.exp_divided_differences(w, t)
+        for a, b in itertools.permutations(range(len(w)), 2):
+            diff = np.exp(-1j * w[a] * t) - np.exp(-1j * w[b] * t)
+            raw = np.exp(1j * w[b] * t) * diff / (w[a] - w[b])
+            assert abs(g[a, b] - raw) <= 1e-14
+
+    def test_stack_is_per_row(self):
+        w = np.random.default_rng(3).standard_normal((3, 4))
+        g = la.exp_divided_differences(w, 0.5)
+        assert g.shape == (3, 4, 4)
+        for row, got in zip(w, g):
+            assert np.array_equal(got, la.exp_divided_differences(row, 0.5))
+
+    def test_derivative_of_the_exponential(self):
+        # d/ds e^{-i (h + s e) t} = v (g o v^+ e v) v^+ e^{-i h t}
+        rng = np.random.default_rng(8)
+        h = 1j * random_antihermitian(rng, 4)
+        e = 1j * random_antihermitian(rng, 4)
+        t = 0.8
+        w, v, u = la.hermitian_exp(h, t)
+        got = v @ (la.exp_divided_differences(w, t) * (v.conj().T @ e @ v)) @ v.conj().T @ u
+        _, want = scipy.linalg.expm_frechet(-1j * t * h, -1j * t * e)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def _ref_diag_symmetric_unitary(msym):

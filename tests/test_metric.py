@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cartancost import metric as mt
 from cartancost import pauli
 from cartancost.errors import PreconditionError
 from cartancost.linalg import expm
+from cartancost.serialize import split_from_json
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,13 @@ class TestHamiltonianCost:
             m.weights[0] = 1.0
 
 
+def _frechet_bch(l, p):
+    """``B = -i Dexp(iL)[iP] exp(-iL)`` through SciPy's Frechet derivative."""
+    lm = l.to_matrix()
+    _, d = scipy.linalg.expm_frechet(1j * lm, 1j * p.to_matrix())
+    return -1j * d @ scipy.linalg.expm(-1j * lm)
+
+
 class TestBchOperator:
     def test_zero_exponent(self):
         p = pauli.Hamiltonian(1, {"Y": 0.8})
@@ -146,7 +155,7 @@ class TestBchOperator:
         for _ in range(20):
             l = pauli.random_hamiltonian(n, pauli.pauli_strings(n), rng, norm=rng.uniform(0.3, 1.5))
             p = pauli.random_hamiltonian(n, pauli.pauli_strings(n), rng, norm=rng.uniform(0.3, 1.5))
-            b = mt.bch_operator(l, p, terms=20)
+            b = mt.bch_operator(l, p)
 
             def defect(delta):
                 lhs = expm(1j * (l.to_matrix() + delta * p.to_matrix()))
@@ -156,12 +165,55 @@ class TestBchOperator:
             slope = np.log2(defect(1e-2) / defect(5e-3))
             assert abs(slope - 2.0) < 0.1
 
-    def test_series_guard(self):
-        l = pauli.Hamiltonian(1, {"X": 3.0})
-        with pytest.raises(PreconditionError):
-            mt.bch_operator(l, pauli.Hamiltonian(1, {"Z": 1.0}))
-        with pytest.raises(PreconditionError):
-            mt.bch_matrix(l, pauli.builtin_split(1, "single_x"))
+    def test_large_exponent_accepted(self):
+        # the operator is exact at any norm of L
+        l = pauli.Hamiltonian(1, {"X": 3.0 / np.sqrt(2.0)})
+        p = pauli.Hamiltonian(1, {"Z": 1.0})
+        assert abs(l.norm() - 3.0) < 1e-14
+        assert np.max(np.abs(mt.bch_operator(l, p).to_matrix() - _frechet_bch(l, p))) <= 1e-13
+        bch = mt.bch_matrix(l, pauli.builtin_split(1, "single_x"))
+        assert np.max(np.abs(bch - [[1.0]])) <= 1e-13  # X commutes with L
+
+    @pytest.mark.parametrize("norm", [0.5, 3.0, 10.0, 40.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_operator_matches_frechet_oracle(self, n, norm):
+        rng = np.random.default_rng(100 * n + int(norm))
+        strings = pauli.pauli_strings(n)
+        for _ in range(3):
+            l = pauli.random_hamiltonian(n, strings, rng, norm=norm)
+            p = pauli.random_hamiltonian(n, strings, rng, norm=1.0)
+            got = mt.bch_operator(l, p).to_matrix()
+            assert np.max(np.abs(got - _frechet_bch(l, p))) <= 1e-13
+
+    @pytest.mark.parametrize("norm", [0.5, 3.0, 10.0, 40.0])
+    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
+    def test_matrix_matches_frechet_oracle(self, kind, n, norm):
+        split = pauli.builtin_split(n, kind)
+        l = pauli.random_hamiltonian(n, split.l_basis, np.random.default_rng(int(norm)), norm=norm)
+        stack = pauli.dense_basis(n)[split.l_mask]
+        want = np.array([
+            np.einsum("kij,ji->k", stack, _frechet_bch(l, pauli.Hamiltonian(n, {s: 1.0}))).real
+            for s in split.l_basis
+        ]).T / 2**n
+        assert np.max(np.abs(mt.bch_matrix(l, split) - want)) <= 1e-13
+
+    def test_matrix_order_follows_the_split_document(self, two_local):
+        # l listed out of canonical order: rows keep pauli_strings(n) order,
+        # columns follow the document
+        doc = {"l": list(reversed(two_local.l_basis)), "p": list(two_local.p_basis),
+               "z": list(two_local.z_basis)}
+        split = split_from_json(doc)
+        strings = pauli.pauli_strings(2)
+        rows = [s for s in strings if s in split.l_basis]
+        assert list(split.l_basis) != rows
+        l = pauli.random_hamiltonian(2, split.l_basis, np.random.default_rng(4), norm=2.5)
+        bch = mt.bch_matrix(l, split)
+        for col, s in zip(bch.T, split.l_basis):
+            want = _frechet_bch(l, pauli.Hamiltonian(2, {s: 1.0}))
+            coeffs = [np.trace(pauli.pauli_matrix(r) @ want).real / 4 for r in rows]
+            assert np.max(np.abs(col - coeffs)) <= 1e-13
+        builtin = mt.bch_matrix(l, two_local)
+        assert np.max(np.abs(bch - builtin[:, ::-1])) <= 1e-15
 
     @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
     def test_matrix_columns_are_operators(self, kind, n):

@@ -127,6 +127,16 @@ class TestHamiltonian:
             with pytest.raises(PreconditionError, match="Hermitian-traceless"):
                 pa.hermitian_coefficients(m)
 
+    def test_coefficients_scale_does_not_overflow(self):
+        # the tolerance scale of a huge matrix stays finite: an anti-Hermitian
+        # one is refused, a Hermitian one expanded, both without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="Hermitian-traceless"):
+                pa.hermitian_coefficients(np.array([[0.0, 1e300], [-1e300, 0.0]], dtype=complex))
+            got = pa.hermitian_coefficients(np.diag([1e300, -1e300]).astype(complex))
+        assert np.array_equal(got, [0.0, 0.0, 1e300])
+
     def test_identity_excluded(self):
         # only non-identity strings of length n name a coefficient
         for n, coeffs in ((2, {"II": 1.0}), (1, {"Q": 1.0}), (2, {"X": 1.0})):
