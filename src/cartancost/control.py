@@ -7,7 +7,10 @@ with a quadratic endpoint penalty; as the penalty weight epsilon shrinks, the
 numerical optimum must converge to the analytic lattice cost.  The objective
 comes with its exact gradient (GRAPE-style: prefix products of the row
 propagators, each differentiated through its eigendecomposition), and
-L-BFGS-B descends it under a rising endpoint weight lambda.  All row
+L-BFGS-B descends it under a rising endpoint weight lambda.  The package
+drives SciPy's L-BFGS-B routine ``setulb`` itself, with the default stopping
+rules of ``scipy.optimize.minimize``, whose iterates it reproduces bit for
+bit without the wrapper's per-evaluation bookkeeping.  All row
 propagators of a path come from one stacked eigendecomposition,
 ``linalg.hermitian_exp``.  The explicit three-leg path exp(iL') exp(iZ')
 exp(iM) built from the lattice-shifted KAK factors realizes the upper bound
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .cost import CostReport, optimal_cost
 from .errors import ConvergenceFailure, PreconditionError
@@ -40,6 +42,14 @@ __all__ = [
 
 _LAMBDA_SCHEDULE = (10.0, 1e2, 1e3, 1e4)
 _ENDPOINT_TOL = 1e-4  # largest accepted endpoint distance of an optimized path
+
+# scipy.optimize.minimize's L-BFGS-B defaults: memory, factr = ftol / eps,
+# projected-gradient tolerance, line-search steps and evaluation cap
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15000
 
 
 def _rows(rows) -> tuple[np.ndarray, int]:
@@ -182,6 +192,41 @@ class _Objective:
                 self.two_dim - 2.0 * size, (d_overlap * (-2.0 * np.conj(unit))).real)
 
 
+def _descend(obj: _Objective, x0: np.ndarray, lam: float, max_iter: int) -> np.ndarray:
+    """Unbounded L-BFGS-B from the flat rows ``x0`` on ``obj.value_and_grad``
+    at weight ``lam``: the loop of ``scipy.optimize.minimize(method="L-BFGS-B",
+    jac=True)`` over SciPy's ``setulb``, with the same stopping rules and so
+    the same bits, without its per-evaluation bookkeeping.  ``x0`` is left as
+    it is; ``setulb`` updates its own copy in place.
+    """
+    # imported here so that loading the package does not load scipy.optimize
+    from scipy.optimize._lbfgsb import setulb
+
+    x = np.array(x0, dtype=float)
+    n, m = len(x), _LBFGSB_M
+    bound, nbd = np.zeros(n), np.zeros(n, np.int32)  # nbd 0: x is unbounded
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    iterations = evaluations = 0
+    while True:
+        setulb(m, x, bound, bound, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task,
+               lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == 3:  # wants f and g at x
+            f, g = obj.value_and_grad(x, lam)
+            evaluations += 1
+        elif task[0] == 1:  # a new iterate
+            iterations += 1
+            if iterations >= max_iter:
+                task[:] = 5, 504
+            elif evaluations > _LBFGSB_MAXFUN:
+                task[:] = 5, 502
+        else:
+            return x
+
+
 def optimize_path(
     target,
     metric: PenaltyMetric,
@@ -196,7 +241,9 @@ def optimize_path(
     L-BFGS-B minimization, on exact gradients, over the rows of a
     ``segments``-row path under a quadratic endpoint penalty whose weight
     follows the continuation schedule 10..1e4; ``max_iter`` caps the L-BFGS-B
-    iterations of each stage.  ``init_paths``, paths of at most ``segments``
+    iterations of each stage.  Each stage runs SciPy's L-BFGS-B routine
+    directly, with ``scipy.optimize.minimize``'s default stopping rules and
+    the same output bits.  ``init_paths``, paths of at most ``segments``
     rows (e.g. the analytic feasible path), seed extra starts and also stand
     as candidate answers; ``restarts`` random starts are added.  Returns the
     best rows, their cost, which excludes the penalty term, and their endpoint
@@ -240,8 +287,7 @@ def optimize_path(
     for rows in starts:
         flat = rows.ravel()
         for lam in _LAMBDA_SCHEDULE:
-            flat = scipy.optimize.minimize(obj.value_and_grad, flat, args=(lam,), jac=True,
-                                           method="L-BFGS-B", options={"maxiter": max_iter}).x
+            flat = _descend(obj, flat, lam, max_iter)
         if np.isfinite(flat).all():  # a non-finite result never beats the finite starts
             candidates.append(flat.reshape(shape))
 

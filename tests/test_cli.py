@@ -578,6 +578,14 @@ def test_entry_point_subprocess(tmp_path):
     assert doc["dim"] == 2
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # the optimizer is imported by the first sweep, not by every CLI start
+    code = "import sys, cartancost, cartancost.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=_package_env())
+    assert proc.stdout == "False\n"
+
+
 class TestInProcessReuse:
     """Repeated cli.main calls in one process print what fresh processes print."""
 

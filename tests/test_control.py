@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from cartancost import control as ct
 from cartancost import cost, metric as mt, pauli
@@ -261,6 +262,37 @@ def _ref_value_and_grad(target, metric, rows, lam):
     return value, cost_grad + lam * grad
 
 
+def _ref_descend(obj, x0, lam, max_iter):
+    """The stage as ``scipy.optimize.minimize`` runs it, through its
+    ``ScalarFunction`` bookkeeping around the same ``setulb``."""
+    return scipy.optimize.minimize(obj.value_and_grad, x0, args=(lam,), jac=True,
+                                   method="L-BFGS-B", options={"maxiter": max_iter}).x
+
+
+class TestDescend:
+    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2), ("ai", 3)])
+    @pytest.mark.parametrize("max_iter", [1, 2, 2000])
+    def test_matches_scipy_minimize_bits(self, kind, n, max_iter):
+        split = pauli.builtin_split(n, kind)
+        target = la.haar_random_special_unitary(2**n, 17)
+        metric = mt.PenaltyMetric(split, 1e-2)
+        segments = 4
+        obj = ct._Objective(target, metric, segments)
+        # the feasible path padded with a zero row, as optimize_path places it
+        feasible = ct.optimal_feasible_path(cost.optimal_cost(target, split))
+        padded = np.zeros((segments, 4**n - 1))
+        padded[:3] = feasible * (segments / 3.0)
+        rng = np.random.default_rng(n)
+        for x0 in (padded.ravel(), rng.standard_normal(padded.size) * 0.4):
+            for lam in ct._LAMBDA_SCHEDULE:  # chained, as optimize_path runs the stages
+                kept = x0.copy()
+                got = ct._descend(obj, x0, lam, max_iter)
+                assert np.array_equal(got, _ref_descend(obj, x0, lam, max_iter))
+                # optimize_path keeps its starts as candidates
+                assert np.array_equal(x0, kept)
+                x0 = got
+
+
 class TestObjectiveGradient:
     @pytest.mark.parametrize("kind,n,segments", [
         pytest.param(kind, n, segments, id=f"{kind}-{n}" + ("" if segments == 3 else "-4-segments"))
@@ -414,10 +446,7 @@ class TestNonConvergence:
     def test_non_finite_optimizer_result_is_not_a_candidate(self, monkeypatch):
         # a non-finite L-BFGS-B result ranks below the finite starts, as a nan
         # residual did, rather than being refused as a caller's rows are
-        class Result:
-            x = np.full(9, np.nan)
-
-        monkeypatch.setattr(ct.scipy.optimize, "minimize", lambda *args, **kwargs: Result)
+        monkeypatch.setattr(ct, "_descend", lambda *args: np.full(9, np.nan))
         split = pauli.builtin_split(1, "single_x")
         u = la.haar_random_special_unitary(2, 5)
         feasible = ct.optimal_feasible_path(cost.optimal_cost(u, split))
