@@ -2,8 +2,9 @@
 
 A piecewise-constant path optimizer works the synthesis problem at a few
 penalty weights.  The numeric optimum is sandwiched between the analytic
-lattice cost and the explicit three-leg feasible path, whose excess is
-sqrt(eps) times the free-leg norms; the relative error shrinks with eps.
+lattice cost and the explicit polar feasible path exp(ia) exp(ib), with a
+free and |b| the lattice cost, whose excess is sqrt(eps) |a|; the relative
+error shrinks with eps.
 
 Takes a second or two.
 """

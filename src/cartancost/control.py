@@ -12,9 +12,9 @@ drives SciPy's L-BFGS-B routine ``setulb`` itself, with the default stopping
 rules of ``scipy.optimize.minimize``, whose iterates it reproduces bit for
 bit without the wrapper's per-evaluation bookkeeping.  All row
 propagators of a path come from one stacked eigendecomposition,
-``linalg.hermitian_exp``.  The explicit three-leg path exp(iL') exp(iZ')
-exp(iM) built from the lattice-shifted KAK factors realizes the upper bound
-analytic + sqrt(eps) * (|L'| + |M|)  and doubles as the optimizer's warm start.
+``linalg.hermitian_exp``.  The explicit polar path exp(ia) exp(ib), with a in
+l and b in p, built from the lattice-shifted KAK factors realizes the upper
+bound analytic + sqrt(eps) * |a| and doubles as the optimizer's warm start.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
 
 _LAMBDA_SCHEDULE = (10.0, 1e2, 1e3, 1e4)
 _ENDPOINT_TOL = 1e-4  # largest accepted endpoint distance of an optimized path
+_TIE_TOL = 1e-9  # largest certificate gap, and phase spread, read as a lattice tie
 
 # scipy.optimize.minimize's L-BFGS-B defaults: memory, factr = ftol / eps,
 # projected-gradient tolerance, line-search steps and evaluation cap
@@ -88,37 +89,31 @@ def path_cost(rows, metric: PenaltyMetric) -> float:
     return float(metric.cost(rows) @ np.full(len(rows), 1.0 / len(rows)))
 
 
-def _even_sign_patterns(n: int):
-    for bits in range(2 ** (n - 1)):
-        head = [-1.0 if bits >> k & 1 else 1.0 for k in range(n - 1)]
-        yield np.array(head + [float(np.prod(head))])  # an even count of -1
-
-
 def optimal_feasible_path(report: CostReport) -> np.ndarray:
-    """Three-row path hitting the analytic optimum up to the free-leg cost.
+    """Three-row polar path exp(ia) exp(ib) reaching the report's target.
 
-    The lattice shift is absorbed into the left orthogonal factor (an even
-    sign pattern keeps it special orthogonal), so the middle leg's generator
-    has trace norm exactly equal to the reported cost.  The residual freedom
-    A -> AF, B -> BF over even sign patterns F (which commute with the
-    diagonal factor) is used to shrink the free legs.
+    In the adapted frame ``V = A D B^T = (A S B^T)(B e^{i Phi'} B^T)`` with
+    ``S = diag((-1)^m)`` (det 1, as sum(m) = 0) and ``Phi' = phases - pi m``
+    for a lattice point m: the global polar decomposition, ``a = -i log(A S
+    B^T)`` in l and ``b = B diag(Phi') B^T`` in p, so ``|b|`` is the cost.
+    Rows ``[-1.5 b, -1.5 b, -3 a]`` cost ``|b| + sqrt(eps) |a|``.  At a tie
+    (certificate gap within 1e-9 of 0), the single pi-moves from a tied
+    largest to a tied smallest shifted phase are tried too; the smallest
+    ``|a|`` wins.
     """
     factors = report.factors
-    signs = np.where(np.asarray(report.lattice_point) % 2 == 0, 1.0, -1.0)
-    a_shifted = factors.a * signs[None, :]
-
-    best = None
-    for pattern in _even_sign_patterns(a_shifted.shape[0]):
-        log_a = log_special_orthogonal(a_shifted * pattern[None, :])
-        log_bt = log_special_orthogonal((factors.b * pattern[None, :]).T)
-        size = np.linalg.norm(log_a) + np.linalg.norm(log_bt)
-        if best is None or size < best[0]:
-            best = (size, log_a, log_bt)
-    _, log_a, log_bt = best
-
-    legs = _legs(factors.split, log_a, report.shifted_phases, log_bt)
-    # exp(iM) is applied first and exp(iL') last; a row applies exp(-i H / 3)
-    rows = legs[::-1] * (-1.0 / (1.0 / 3.0))
+    a, b, split = factors.a, factors.b, factors.split
+    point, s = report.lattice_point, report.shifted_phases
+    tie = report.certificate_gap <= _TIE_TOL
+    tops = np.flatnonzero(tie & (s >= s.max() - _TIE_TOL))
+    bottoms = np.flatnonzero(tie & (s <= s.min() + _TIE_TOL))
+    unit = np.eye(len(s), dtype=int)
+    points = [point] + [point + unit[i] - unit[j] for i in tops for j in bottoms]
+    logs = [log_special_orthogonal((a * (-1.0) ** m) @ b.T) for m in points]
+    k = int(np.argmin([np.linalg.norm(x) for x in logs]))
+    gens = np.stack([-1j * logs[k], ((b * (factors.phases - np.pi * points[k])) @ b.T) + 0j])
+    a_row, b_row = _legs(split, "ab", gens, np.stack([split.l_mask, ~split.l_mask]))
+    rows = np.stack([-1.5 * b_row, -1.5 * b_row, -3.0 * a_row])  # a row applies exp(-i H / 3)
     rows.setflags(write=False)
     return rows
 
@@ -313,7 +308,8 @@ class SweepResult:
 
     ``within_bounds`` records, per epsilon, membership in the bracket
     [analytic - slack - margin, analytic + slack + margin] with
-    slack = sqrt(eps) * (|L'| + |M|) from the explicit feasible path.
+    slack = feasible_cost - analytic = sqrt(eps) * |a|, the free leg of the
+    polar feasible path exp(ia) exp(ib).
     ``converged`` is true at every epsilon: :func:`epsilon_sweep` returns
     only when every optimization reached the target.
     """
@@ -351,8 +347,6 @@ def epsilon_sweep(
     report = optimal_cost(target, split)
     analytic = report.cost
     feasible = optimal_feasible_path(report)
-    # at eps = 1 the form is the trace norm: |L'| + |M| of the free legs
-    free_norm = PenaltyMetric(split, 1.0).cost(feasible[::2]) @ np.full(2, 1.0 / 3.0)
     margin = 1e-3 * max(analytic, 1.0) + 10.0 * _ENDPOINT_TOL
 
     numeric = np.empty(len(eps))
@@ -362,7 +356,7 @@ def epsilon_sweep(
     for i, e in enumerate(eps):
         metric = PenaltyMetric(split, float(e))
         feasible_costs[i] = path_cost(feasible, metric)
-        slack = np.sqrt(e) * free_norm
+        slack = feasible_costs[i] - analytic  # sqrt(eps) |a| of the polar path
         _, numeric[i], residuals[i] = optimize_path(
             target, metric, segments=segments, restarts=restarts,
             seed=seed + i, init_paths=(feasible,), max_iter=max_iter,

@@ -139,24 +139,24 @@ def kak_decompose(u, split: CartanSplit) -> KakFactors:
         )
     a = a.real
 
-    l, z, m = _legs(split, log_special_orthogonal(a), phases, log_special_orthogonal(b.T))
+    gens = np.stack([-1j * log_special_orthogonal(a), np.diag(phases).astype(complex),
+                     -1j * log_special_orthogonal(b.T)])
+    l, z, m = _legs(split, "lzm", gens, np.stack([split.l_mask, split.z_mask, split.l_mask]))
     return KakFactors(l=l, z=z, m=m, a=a, phases=phases, b=b, split=split,
                       removed_phase=removed)
 
 
-def _legs(split: CartanSplit, log_a, phases, log_bt):
-    """Coefficient rows (l, z, m), as one read-only array, of the frame factors
-    exp(log_a), diag(exp(i phases)) and exp(log_bt), each zeroed off its basis;
-    a leak raises NumericalFailure.  The three generators are expanded by one
-    stacked call; a leak is the trace norm of a row outside its basis mask."""
+def _legs(split: CartanSplit, names: str, gens, masks):
+    """Coefficient rows, as one read-only array, of a stack of Hermitian
+    frame generators, each zeroed off its basis mask; a leak, the trace norm
+    of a row outside its mask, raises NumericalFailure naming the leg.  The
+    generators are expanded by one stacked call."""
     q, dim = split.frame, 2**split.n
-    gens = np.stack([-1j * log_a, np.diag(phases).astype(complex), -1j * log_bt])
     rows = hermitian_coefficients(q @ gens @ q.conj().T)
-    masks = np.stack([split.l_mask, split.z_mask, split.l_mask])
     off = np.where(masks, 0.0, rows)
     norms = np.sqrt(dim * (rows * rows).sum(axis=-1))
     leaks = np.sqrt(dim * (off * off).sum(axis=-1))
-    for name, leak, norm in zip("lzm", leaks, norms):
+    for name, leak, norm in zip(names, leaks, norms):
         if leak > 1e-9 * max(1.0, norm):
             raise NumericalFailure(
                 f"factor {name} leaks outside its subspace", residual=float(leak)

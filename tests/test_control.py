@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -6,6 +8,9 @@ from cartancost import control as ct
 from cartancost import cost, metric as mt, pauli
 from cartancost import linalg as la
 from cartancost.errors import PreconditionError
+
+
+BUILTIN_SPLITS = [(1, "single_x"), (2, "two_local")] + [(n, "ai") for n in range(1, 5)]
 
 
 @pytest.fixture(scope="module")
@@ -72,65 +77,6 @@ class TestControlPath:
                                  init_paths=(rows,))
 
 
-def _ref_even_sign_patterns(n):
-    for bits in range(2 ** (n - 1)):
-        pattern = np.ones(n)
-        for k in range(n - 1):
-            if bits >> k & 1:
-                pattern[k] = -1.0
-        if int((pattern < 0).sum()) % 2 == 1:
-            pattern[-1] = -1.0
-        yield pattern
-
-
-def _ref_optimal_feasible_path(report):
-    """The three rows of the feasible path as the sign-pattern loop built
-    them when the path was a tuple of (Hamiltonian, dt) segments."""
-    factors = report.factors
-    split = factors.split
-    q = split.q
-    signs = np.where(np.asarray(report.lattice_point) % 2 == 0, 1.0, -1.0)
-    a_shifted = factors.a * signs[None, :]
-
-    best = None
-    for pattern in _ref_even_sign_patterns(a_shifted.shape[0]):
-        log_a = la.log_special_orthogonal(a_shifted * pattern[None, :])
-        log_bt = la.log_special_orthogonal((factors.b * pattern[None, :]).T)
-        size = np.linalg.norm(log_a) + np.linalg.norm(log_bt)
-        if best is None or size < best[0]:
-            best = (size, log_a, log_bt)
-    _, log_a, log_bt = best
-
-    l_dense = q @ (-1j * log_a) @ q.conj().T
-    m_dense = q @ (-1j * log_bt) @ q.conj().T
-    z_dense = q @ np.diag(report.shifted_phases).astype(complex) @ q.conj().T
-    l_new = np.where(split.l_mask, pauli.Hamiltonian.from_matrix(l_dense).vec, 0.0)
-    z_new = np.where(split.z_mask, pauli.Hamiltonian.from_matrix(z_dense).vec, 0.0)
-    m_old = np.where(split.l_mask, pauli.Hamiltonian.from_matrix(m_dense).vec, 0.0)
-    dt = 1.0 / 3.0
-    scale = -1.0 / dt
-    return np.stack([m_old * scale, z_new * scale, l_new * scale])
-
-
-class TestOneArithmetic:
-    """The sign patterns and the feasible path each have one implementation,
-    pinned against the loops they replaced."""
-
-    def test_sign_patterns_match_reference(self):
-        for n in (1, 2, 3, 4, 5, 8, 16):
-            got, want = list(ct._even_sign_patterns(n)), list(_ref_even_sign_patterns(n))
-            assert len(got) == len(want) and all(map(np.array_equal, got, want))
-
-    @pytest.mark.parametrize("kind,n", [("single_x", 1), ("two_local", 2)])
-    def test_feasible_rows_match_reference(self, kind, n):
-        split = pauli.builtin_split(n, kind)
-        for seed in range(6):
-            report = cost.optimal_cost(la.haar_random_special_unitary(2**n, 300 + seed), split)
-            rows = ct.optimal_feasible_path(report)
-            assert np.array_equal(rows, _ref_optimal_feasible_path(report))
-            assert not rows.flags.writeable
-
-
 class TestPathCost:
     def test_expensive_unit_segment(self, single_x):
         metric = mt.PenaltyMetric(single_x, 1e-2)
@@ -172,10 +118,56 @@ class TestFeasiblePath:
                 assert ct.path_cost(rows, metric) >= report.cost - 1e-12
 
     def test_middle_leg_norm_is_analytic_cost(self, single_x):
+        # rows 0 and 1 each apply exp(ib / 2), so their sum is -3 b
         u = la.haar_random_special_unitary(2, 77)
         report = cost.optimal_cost(u, single_x)
-        h_mid = pauli.Hamiltonian(1, ct.optimal_feasible_path(report)[1])
-        assert abs(h_mid.norm() / 3.0 - report.cost) < 1e-10
+        rows = ct.optimal_feasible_path(report)
+        h_b = pauli.Hamiltonian(1, rows[0] + rows[1])
+        assert abs(h_b.norm() / 3.0 - report.cost) < 1e-10
+
+    @pytest.mark.parametrize("n,kind", BUILTIN_SPLITS)
+    def test_polar_form_on_every_builtin_split(self, n, kind, monkeypatch):
+        split = pauli.builtin_split(n, kind)
+        calls = []
+        log = ct.log_special_orthogonal
+        monkeypatch.setattr(ct, "log_special_orthogonal", lambda o: calls.append(1) or log(o))
+        for seed in range(3):
+            u = la.haar_random_special_unitary(2**n, 900 + seed)
+            report = cost.optimal_cost(u, split)
+            calls.clear()
+            start = time.perf_counter()
+            rows = ct.optimal_feasible_path(report)
+            elapsed = time.perf_counter() - start
+            # away from a lattice tie, one logarithm builds the whole path
+            assert report.certificate_gap > 1e-9 and len(calls) == 1
+            # a search over sign patterns took 11 s per call at ai n=4
+            assert elapsed < 1.0
+            assert rows.shape == (3, 4**n - 1) and not rows.flags.writeable
+            assert la.frobenius_distance(ct.evolve(rows), u) < 1e-12
+            a, b = rows[2] / -3.0, rows[0] / -1.5
+            assert np.array_equal(rows[0], rows[1])
+            assert not a[~split.l_mask].any() and not b[split.l_mask].any()
+            assert abs(np.sqrt(2**n) * np.linalg.norm(b) - report.cost) < 1e-12
+
+    def test_feasible_cost_does_not_depend_on_the_frame(self):
+        builtin = pauli.builtin_split(2, "two_local")
+        derived = pauli.CartanSplit(2, builtin.l_basis, builtin.p_basis, builtin.z_basis)
+        for seed in (1, 2, 3, 7):
+            u = la.haar_random_special_unitary(4, seed)
+            got, want = (ct.epsilon_sweep(u, split, [1e-1], restarts=0, max_iter=1).feasible_costs
+                         for split in (derived, builtin))
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_swap_takes_the_tied_point_with_no_free_leg(self):
+        split = pauli.builtin_split(2, "two_local")
+        swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        report = cost.optimal_cost(swap, split)
+        assert abs(report.certificate_gap) <= 1e-9
+        rows = ct.optimal_feasible_path(report)
+        assert la.frobenius_distance(ct.evolve(rows), swap) < 1e-12
+        assert np.linalg.norm(rows[2]) <= 1e-12
+        # so the path costs the analytic cost at any eps, not 4.1257 at eps = 0.1
+        assert abs(ct.path_cost(rows, mt.PenaltyMetric(split, 0.1)) - report.cost) < 1e-12
 
 
 class TestOptimizePath:

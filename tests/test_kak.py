@@ -321,7 +321,7 @@ class TestReferenceEquivalence:
             f = kak.kak_decompose(u, split)
             args = (la.log_special_orthogonal(f.a), f.phases,
                     la.log_special_orthogonal(f.b.T))
-            for got, want in zip(kak._legs(split, *args), _ref_legs(split, *args)):
+            for got, want in zip((f.l, f.z, f.m), _ref_legs(split, *args)):
                 assert np.array_equal(got, want)
             assert np.array_equal(kak.reconstruct(f), _ref_reconstruct(f))
 
@@ -342,7 +342,9 @@ class TestReferenceEquivalence:
                 "m": (anti, np.zeros(4), 1j * sym)}[leg]
         with pytest.raises(NumericalFailure) as ref:
             _ref_legs(split, *args)
+        log_a, phases, log_bt = args
+        gens = np.stack([-1j * log_a, np.diag(phases).astype(complex), -1j * log_bt])
         with pytest.raises(NumericalFailure) as got:
-            kak._legs(split, *args)
+            kak._legs(split, "lzm", gens, np.stack([split.l_mask, split.z_mask, split.l_mask]))
         assert f"factor {leg} leaks" in str(got.value)
         assert str(got.value) == str(ref.value) and got.value.residual == ref.value.residual
